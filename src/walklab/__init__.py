@@ -14,7 +14,6 @@ from .qarith import (
     NotIrrational,
     QuadraticSurd,
     cf_expand,
-    convergents,
     floor_scaled,
     is_br,
     noble_mean_adjusted,
@@ -32,7 +31,6 @@ from .walk import (
     brute_walk,
     diff_hits,
     discrepancy,
-    fast_s,
     lemma_checks,
     records,
     walk_spec,

@@ -251,8 +251,7 @@ def main(argv=None) -> int:
         elif args.command == "subst":
             text = _run_subst(args)
         elif args.command == "recur":
-            seq = recurrences.generate(args.name, args.n)
-            text = _series_text(seq.terms, args.format, seq.name)
+            text = _series_text(recurrences.generate(args.name, args.n), args.format, args.name)
         elif args.command == "discrepancy":
             values = discrepancy(args.xi, args.endpoint, args.n)
             text = _series_text(values.tolist(), args.format, "k*D_n")

@@ -93,7 +93,8 @@ def encode(n: int, base: ContinuedFraction) -> OstrowskiWord:
             b = min(b, base.quotient(i + 1))
         digits[i] = b
         rem -= b * dens[i]
-    assert rem == 0, "greedy expansion left a remainder"
+    if rem:
+        raise RuntimeError(f"greedy expansion of {n} left a remainder {rem}")
     return OstrowskiWord(tuple(digits), base)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -226,8 +226,7 @@ def _floor_pdq(p: int, dd: int, q: int) -> int:
 class ContinuedFraction:
     """Eventually periodic continued fraction with exact convergents.
 
-    The convergent cache grows on demand; access is serialized so shared
-    instances are safe to use from multiple threads.
+    The convergent cache grows on demand.
     """
 
     def __init__(self, preperiod, period):
@@ -238,8 +237,8 @@ class ContinuedFraction:
         for i, q in enumerate(self.preperiod[1:] + self.period):
             if q < 1:
                 raise ValueError(f"partial quotient #{i + 1} is {q} < 1")
-        self._lock = threading.Lock()
-        self._pq: list[tuple[int, int]] = []  # cached (p_n, q_n)
+        self._p: list[int] = []  # cached p_n
+        self._q: list[int] = []  # cached q_n, nondecreasing
 
     def quotient(self, i: int) -> int:
         """Partial quotient a_i (a_0 may be any integer, a_i >= 1 beyond)."""
@@ -249,37 +248,39 @@ class ContinuedFraction:
 
     def _extend(self, n: int) -> None:
         # p_{-1}/q_{-1} = 1/0 and p_{-2}/q_{-2} = 0/1 seed the recurrence
-        while len(self._pq) <= n:
-            i = len(self._pq)
+        p, q = self._p, self._q
+        while len(q) <= n:
+            i = len(q)
             ai = self.quotient(i)
-            p1, q1 = self._pq[i - 1] if i >= 1 else (1, 0)
-            p2, q2 = self._pq[i - 2] if i >= 2 else ((1, 0) if i == 1 else (0, 1))
-            self._pq.append((ai * p1 + p2, ai * q1 + q2))
+            p1, q1 = (p[i - 1], q[i - 1]) if i >= 1 else (1, 0)
+            p2, q2 = (p[i - 2], q[i - 2]) if i >= 2 else ((1, 0) if i == 1 else (0, 1))
+            p.append(ai * p1 + p2)
+            q.append(ai * q1 + q2)
 
     def convergents(self, n: int) -> list[tuple[int, int]]:
         """The first n+1 convergents (p_0, q_0) .. (p_n, q_n)."""
-        with self._lock:
-            self._extend(n)
-            return self._pq[: n + 1]
-
-    def convergent(self, n: int) -> tuple[int, int]:
-        with self._lock:
-            self._extend(n)
-            return self._pq[n]
+        self._extend(n)
+        return list(zip(self._p[: n + 1], self._q[: n + 1]))
 
     def denominator(self, n: int) -> int:
-        return self.convergent(n)[1]
+        self._extend(n)
+        return self._q[n]
+
+    def denominators_past(self, bound: int) -> list[int]:
+        """The cached q_0, q_1, ..., grown until the last exceeds bound.
+
+        This is the cache itself, shared by every caller: read it, never
+        mutate it.
+        """
+        q = self._q
+        while not q or q[-1] <= bound:
+            self._extend(len(q))
+        return q
 
     def denominators_up_to(self, bound: int) -> list[int]:
         """All convergent denominators q_n <= bound, in index order."""
-        out = []
-        n = 0
-        while True:
-            q = self.denominator(n)
-            if q > bound:
-                return out
-            out.append(q)
-            n += 1
+        q = self.denominators_past(bound)
+        return q[: bisect_right(q, bound)]
 
     def __repr__(self):
         pre = ",".join(map(str, self.preperiod))
@@ -314,10 +315,6 @@ def cf_expand(xi: QuadraticSurd, max_terms: int = 10**5) -> ContinuedFraction:
         p = ai * q - p
         q = (dd - p * p) // q
     raise RuntimeError("period not found (state bound exceeded)")
-
-
-def convergents(cf: ContinuedFraction, n: int) -> list[tuple[int, int]]:
-    return cf.convergents(n)
 
 
 def is_br(cf: ContinuedFraction) -> bool:

@@ -9,14 +9,6 @@ assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class RecurrenceSeq:
-    name: str
-    terms: tuple[int, ...]
-
 
 def lune_records(n: int) -> list[int]:
     """R_0..R_n with R_{k+1} = 2 R_k + R_{k-1} + 1, R_0 = 0, R_1 = 1.
@@ -96,7 +88,7 @@ GENERATORS = {
 }
 
 
-def generate(name: str, n: int) -> RecurrenceSeq:
+def generate(name: str, n: int) -> list[int]:
     if name not in GENERATORS:
         raise ValueError(f"unknown recurrence {name!r}")
-    return RecurrenceSeq(name=name, terms=tuple(GENERATORS[name](n)))
+    return GENERATORS[name](n)

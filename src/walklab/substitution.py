@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .qarith import QuadraticSurd, noble_mean_adjusted
+from .walk import CheckFailed
 
 Point = Union[int, Fraction, QuadraticSurd]
 
@@ -152,7 +153,8 @@ def return_map_empirical(
     Checks along the way that the observed return time, landing point and
     itinerary match the two-branch return map and the substitution words of
     the rescaled partition {a', b', c'}. Only even m is supported; the
-    partition below is specific to that case.
+    partition below is specific to that case. Raises CheckFailed at the
+    first disagreement.
     """
     if m < 2 or m % 2:
         raise OddM(f"need even m >= 2, got {m}")
@@ -187,7 +189,8 @@ def return_map_empirical(
         steps = 0
         while True:
             for boundary in (Fraction(1, 2), 1 - xi, interval_len):
-                assert not y == boundary, f"orbit hit partition boundary {boundary}"
+                if y == boundary:
+                    raise CheckFailed(f"orbit hit partition boundary {boundary}")
             itinerary.append(_label(y, xi))
             y = y + xi
             if y >= 1:
@@ -200,14 +203,17 @@ def return_map_empirical(
 
         word = "".join(itinerary)
         expected_time = m * m + 1 if home in "ab" else m * m + m + 1
-        assert steps == expected_time, (
-            f"return time {steps} from {home}' sample {x}, expected {expected_time}"
-        )
-        assert word == sub.words[home], (
-            f"itinerary {word} from {home}' sample {x}, expected {sub.words[home]}"
-        )
+        if steps != expected_time:
+            raise CheckFailed(
+                f"return time {steps} from {home}' sample {x}, expected {expected_time}"
+            )
+        if word != sub.words[home]:
+            raise CheckFailed(
+                f"itinerary {word} from {home}' sample {x}, expected {sub.words[home]}"
+            )
         landing = x + (m * m + 1) * xi - m if x < cut_bc else x + (m * m + m + 1) * xi - (m + 1)
-        assert y == landing, f"landing {y} from {x} disagrees with branch formula {landing}"
+        if y != landing:
+            raise CheckFailed(f"landing {y} from {x} disagrees with branch formula {landing}")
         reports.append(
             ReturnMapReport(start=x, interval=home, return_time=steps, itinerary=word)
         )

@@ -3,11 +3,12 @@
 The walk is S_n = sum_{j<=n} (-1)^floor(j*theta). Two engines compute it:
 
 * a brute engine that evaluates every step, using a certified fixed-point
-  accumulator with an exact integer-square-root fallback whenever the
-  approximation could straddle a parity boundary, and
-* a rules engine that recurses on three identities tied to the convergent
-  denominators of the rotation theta/2, valid when that rotation is a BR
-  number (all odd-indexed partial quotients even).
+  indicator kernel (shared with the discrepancy profile) with an exact
+  integer-square-root fallback whenever the approximation could straddle
+  the cut, and
+* a rules engine that folds an index along three identities tied to the
+  convergent denominators of the rotation theta/2, valid when that rotation
+  is a BR number (all odd-indexed partial quotients even).
 
 The brute engine is the oracle: everything the rules engine, the digit
 automata, and the recurrence generators claim is cross-checked against it.
@@ -70,39 +71,38 @@ class AbSequences:
     b: np.ndarray
 
 
-# --- step generation ----------------------------------------------------
+# --- certified indicator kernel -------------------------------------------
 
 
-def _sign_chunks(theta: QuadraticSurd, n: int, scale: int = _SCALE, chunk: int = _CHUNK):
-    """Yield (start_j, int8 signs) covering j = 1..n.
+def _indicators(xi: QuadraticSurd, h: int, k: int, n: int, scale: int = _SCALE) -> np.ndarray:
+    """int8 flags [{j*xi} < h/k] for j = 1..n, with xi in (0,1).
 
-    Parity of floor(j*theta) is read from bit `scale` of j*T mod 2^(scale+1)
-    where T = floor(theta * 2^scale). The accumulated error is below j, so
-    any j whose low bits come within j of wrapping is recomputed exactly.
+    With X = floor(xi * 2^scale), the scaled fractional part of j*xi lies in
+    [r, r + j) where r = j*X mod 2^scale. Any j whose interval straddles the
+    cut h*2^scale/k or wraps past 2^scale is decided by exact floors:
+    {j xi} < h/k  <=>  floor(k j xi) - k floor(j xi) < h.
     """
     if n >= 1 << 30:
         raise ValueError("walk length beyond engine range")
-    t_mod = floor_scaled(1 << scale, theta) % (1 << (scale + 1))
-    t_lo = np.uint64(t_mod & 0x7FFFFFFF)
-    t_hi = np.uint64(t_mod >> 31)
-    mask_word = np.uint64((1 << (scale + 1)) - 1)
+    x = floor_scaled(1 << scale, xi)
+    x_lo = np.uint64(x & 0x7FFFFFFF)
+    x_hi = np.uint64(x >> 31)
     mask_frac = np.uint64((1 << scale) - 1)
     mask32 = np.uint64(0xFFFFFFFF)
     top = np.uint64(1 << scale)
-    for start in range(1, n + 1, chunk):
-        j = np.arange(start, min(start + chunk, n + 1), dtype=np.uint64)
-        y = (j * t_lo + ((j * t_hi & mask32) << np.uint64(31))) & mask_word
-        parity = (y >> np.uint64(scale)).astype(np.int8)
-        frac = y & mask_frac
-        for i in np.nonzero(frac >= top - j)[0]:
-            parity[i] = floor_scaled(int(j[i]), theta) & 1
-        yield start, 1 - 2 * parity
-
-
-def _signs(theta: QuadraticSurd, n: int, scale: int = _SCALE) -> np.ndarray:
+    cut = np.uint64((h << scale) // k)
     out = np.empty(n, dtype=np.int8)
-    for start, block in _sign_chunks(theta, n, scale=scale):
-        out[start - 1 : start - 1 + len(block)] = block
+    for start in range(1, n + 1, _CHUNK):
+        j = np.arange(start, min(start + _CHUNK, n + 1), dtype=np.uint64)
+        r = (j * x_lo + ((j * x_hi & mask32) << np.uint64(31))) & mask_frac
+        hi_end = r + j
+        sure_in = hi_end <= cut
+        unsure = ~sure_in & ((r <= cut) | (hi_end >= top))
+        block = out[start - 1 : start - 1 + len(j)]
+        block[:] = sure_in
+        for i in np.nonzero(unsure)[0]:
+            m = int(j[i])
+            block[i] = floor_scaled(k * m, xi) - k * floor_scaled(m, xi) < h
     return out
 
 
@@ -116,10 +116,19 @@ def _signs_exact(theta: QuadraticSurd, n: int) -> np.ndarray:
 
 
 def brute_walk(spec: WalkSpec, n: int, exact: bool = False) -> WalkTrace:
-    """Partial sums S_1..S_n by direct evaluation of every step."""
+    """Partial sums S_1..S_n by direct evaluation of every step.
+
+    floor(j*theta) is even exactly when {j*theta/2} < 1/2, so the fast path
+    reads each step from the rotation's indicator of [0, 1/2).
+    """
     if n < 1:
         raise ValueError("walk length must be >= 1")
-    signs = _signs_exact(spec.theta, n) if exact else _signs(spec.theta, n)
+    if exact:
+        signs = _signs_exact(spec.theta, n)
+    else:
+        signs = _indicators(spec.rotation, 1, 2, n)
+        signs *= 2  # in place: flags {0, 1} become steps {-1, +1}
+        signs -= 1
     return WalkTrace(n=n, sums=np.cumsum(signs, dtype=np.int64), signs=signs)
 
 
@@ -134,50 +143,66 @@ def half_indicator(xi: QuadraticSurd, j: int) -> int:
 
 
 class RuleEngine:
-    """Walk values from the convergent-denominator recursion (BR only).
+    """Walk values from the convergent-denominator rules (BR only).
 
     Rule A pins S at a denominator q to its parity; Rules B and C fold any
-    other index into strictly smaller ones, so a single value costs a number
-    of steps proportional to the CF index of the largest q below it.
+    other index into a strictly smaller one and add the parity of the
+    denominator below it, so a value is one loop of folds that ends at a
+    denominator or at 0. Denominators come from the spec's shared CF cache.
     """
 
     def __init__(self, spec: WalkSpec):
         if not spec.br:
             raise NotBrNumber(f"rotation {spec.rotation} is not a BR number")
         self.spec = spec
-        self._dens = [spec.cf.denominator(0)]
-        self._memo: dict[int, int] = {}
-
-    def _dens_through(self, n: int) -> list[int]:
-        while self._dens[-1] <= n:
-            self._dens.append(self.spec.cf.denominator(len(self._dens)))
-        return self._dens
 
     def value(self, n: int) -> int:
+        """S_n for one index n >= 0; the reference for `values`."""
         if n < 0:
             raise ValueError("index must be >= 0")
-        if n == 0:
-            return 0
-        memo = self._memo
-        got = memo.get(n)
-        if got is not None:
-            return got
-        dens = self._dens_through(n)
-        i = bisect_right(dens, n) - 1
-        if dens[i] == n:
-            return n & 1  # Rule A
-        q, qp = dens[i + 1], dens[i]
-        if 2 * n < q:
-            val = (qp & 1) + self.value(n - qp)  # Rule C
-        else:
-            val = (qp & 1) + self.value(q - n - 1)  # Rule B
-        memo[n] = val
-        return val
+        dens = self.spec.cf.denominators_past(n)
+        acc = 0
+        while n:
+            i = bisect_right(dens, n) - 1
+            qp = dens[i]
+            if qp == n:
+                return acc + (n & 1)  # Rule A
+            q = dens[i + 1]
+            acc += qp & 1
+            n = n - qp if 2 * n < q else q - n - 1  # Rule C, else Rule B
+        return acc
 
+    def values(self, indices) -> np.ndarray:
+        """S_n for every index of an int64 array, folding all of them at once.
 
-def fast_s(spec: WalkSpec, n: int) -> int:
-    """Single walk value via the rules engine; use RuleEngine for sweeps."""
-    return RuleEngine(spec).value(n)
+        Raises ValueError for a negative index, or when a denominator the
+        rules need does not fit int64.
+        """
+        n = np.array(indices, dtype=np.int64)
+        out = np.zeros(n.shape, dtype=np.int64)
+        if n.size == 0:
+            return out
+        if n.min() < 0:
+            raise ValueError("index must be >= 0")
+        top = int(n.max())
+        dens = self.spec.cf.denominators_past(top)
+        dens = dens[: bisect_right(dens, top) + 1]  # through the first q > top
+        if dens[-1] >= 1 << 63:
+            raise ValueError("a denominator the rules need does not fit int64")
+        dens = np.array(dens, dtype=np.int64)
+        pos = np.flatnonzero(n)
+        m = n.ravel()[pos]
+        flat = out.ravel()
+        while pos.size:
+            i = np.searchsorted(dens, m, side="right") - 1
+            qp = dens[i]
+            rule_a = qp == m
+            flat[pos] += np.where(rule_a, m & 1, qp & 1)
+            q = dens[i + 1]
+            m = np.where(m < q - m, m - qp, q - m - 1)  # Rule C, else Rule B
+            keep = ~rule_a & (m > 0)
+            pos, m = pos[keep], m[keep]
+        return out
 
 
 # --- derived sequences ----------------------------------------------------
@@ -250,12 +275,7 @@ def diff_hits(spec: WalkSpec, k: int, bound: int) -> list[int]:
 # --- discrepancy ----------------------------------------------------------
 
 
-def _indicator_exact(j: int, xi: QuadraticSurd, h: int, k: int) -> int:
-    # {j xi} < h/k  <=>  floor(k j xi) - k floor(j xi) < h
-    return 1 if floor_scaled(k * j, xi) - k * floor_scaled(j, xi) < h else 0
-
-
-def discrepancy(xi: QuadraticSurd, endpoint: Fraction, n: int, scale: int = _SCALE) -> np.ndarray:
+def discrepancy(xi: QuadraticSurd, endpoint: Fraction, n: int) -> np.ndarray:
     """k*D_m for m = 1..n, where D_m counts visits of {j*xi} to [0, h/k).
 
     D_m = #{j <= m : {j xi} < h/k} - (h/k) m; the returned values are the
@@ -267,25 +287,7 @@ def discrepancy(xi: QuadraticSurd, endpoint: Fraction, n: int, scale: int = _SCA
         raise ValueError("interval endpoint must be in (0,1)")
     if xi.sign() <= 0 or xi >= 1:
         raise ValueError("rotation must lie in (0,1)")
-    x_mod = floor_scaled(1 << scale, xi)
-    x_lo = np.uint64(x_mod & 0x7FFFFFFF)
-    x_hi = np.uint64(x_mod >> 31)
-    mask_frac = np.uint64((1 << scale) - 1)
-    mask32 = np.uint64(0xFFFFFFFF)
-    top = 1 << scale
-    cut = np.uint64((h << scale) // k)
-    ind = np.empty(n, dtype=np.int8)
-    for start in range(1, n + 1, _CHUNK):
-        j = np.arange(start, min(start + _CHUNK, n + 1), dtype=np.uint64)
-        r = (j * x_lo + ((j * x_hi & mask32) << np.uint64(31))) & mask_frac
-        hi_end = r + j  # true fractional part scaled lies in [r, r + j)
-        sure_in = hi_end <= cut
-        sure_out = (r > cut) & (hi_end < np.uint64(top))
-        block = sure_in.astype(np.int8)
-        for i in np.nonzero(~(sure_in | sure_out))[0]:
-            block[i] = _indicator_exact(int(j[i]), xi, h, k)
-        ind[start - 1 : start - 1 + len(block)] = block
-    counts = np.cumsum(ind, dtype=np.int64)
+    counts = np.cumsum(_indicators(xi, h, k, n), dtype=np.int64)
     return k * counts - h * np.arange(1, n + 1, dtype=np.int64)
 
 

@@ -11,7 +11,6 @@ from walklab.qarith import (
     NotIrrational,
     QuadraticSurd,
     cf_expand,
-    convergents,
     floor_scaled,
     is_br,
     noble_mean_adjusted,

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -160,3 +164,33 @@ def test_return_map_rejects_outside_samples():
 def test_return_map_rejects_odd():
     with pytest.raises(OddM):
         return_map_empirical(3, 5)
+
+
+CORRUPTED_WORD_RUN = """
+import sys
+from walklab import cli, substitution
+
+real = substitution.noble_substitution
+
+def corrupted(m):
+    sub = real(m)
+    words = dict(sub.words, a=sub.words["a"][::-1])
+    return substitution.Substitution(words=words, coding=sub.coding)
+
+substitution.noble_substitution = corrupted
+sys.exit(cli.main(["verify", "--suite", "substitution", "--scale", "quick"]))
+"""
+
+
+def test_return_map_check_fails_under_optimize():
+    # -O strips assert statements; the return-map verifier must not rely on them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPTED_WORD_RUN],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    line = next(ln for ln in proc.stdout.splitlines() if "substitution.return_map" in ln)
+    assert line.startswith("FAIL") and "CheckFailed" in line, line

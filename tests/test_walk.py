@@ -10,13 +10,12 @@ from walklab.walk import (
     NotBrNumber,
     RuleEngine,
     WalkTrace,
-    _signs,
+    _indicators,
     _signs_exact,
     ab_sequences,
     brute_walk,
     diff_hits,
     discrepancy,
-    fast_s,
     lemma_checks,
     records,
     walk_spec,
@@ -70,13 +69,18 @@ def test_step_property():
 
 def test_certified_engine_equals_exact():
     for spec in (TWO_SQRT2, SQRT2, SQRT3, SQRT2M1_WALK):
-        assert np.array_equal(_signs(spec.theta, 4000), _signs_exact(spec.theta, 4000))
+        assert np.array_equal(brute_walk(spec, 4000).signs, _signs_exact(spec.theta, 4000))
 
 
 def test_certified_engine_low_scale_fallback():
     # at 16 bits the ambiguity fallback fires constantly and must stay exact
-    theta = TWO_SQRT2.theta
-    assert np.array_equal(_signs(theta, 3000, scale=16), _signs_exact(theta, 3000))
+    flags = _indicators(TWO_SQRT2.rotation, 1, 2, 3000, scale=16)
+    assert np.array_equal(2 * flags - 1, _signs_exact(TWO_SQRT2.theta, 3000))
+    # a non-twin endpoint, against per-step exact floors
+    xi = parse_surd("sqrt3over2")
+    flags = _indicators(xi, 1, 3, 3000, scale=16)
+    want = [floor_scaled(3 * j, xi) - 3 * floor_scaled(j, xi) < 1 for j in range(1, 3001)]
+    assert flags.tolist() == [int(w) for w in want]
 
 
 def test_table1():
@@ -151,9 +155,9 @@ def test_zeros_none_in_odd_denominator_gaps():
 
 
 def test_fast_s_rule_a():
-    assert fast_s(TWO_SQRT2, 70) == 0
-    assert fast_s(TWO_SQRT2, 169) == 1
-    assert fast_s(TWO_SQRT2, 0) == 0
+    assert RuleEngine(TWO_SQRT2).value(70) == 0
+    assert RuleEngine(TWO_SQRT2).value(169) == 1
+    assert RuleEngine(TWO_SQRT2).value(0) == 0
 
 
 def test_fast_s_matches_brute_sweep():
@@ -175,7 +179,7 @@ def test_fast_s_matches_brute_random():
 
 def test_fast_s_rejects_non_br():
     with pytest.raises(NotBrNumber):
-        fast_s(SQRT3, 10)
+        RuleEngine(SQRT3).value(10)
 
 
 def test_fast_s_deep_query():
@@ -184,6 +188,49 @@ def test_fast_s_deep_query():
     qs = TWO_SQRT2.cf.denominators_up_to(10**12)
     assert all(engine.value(q) == q % 2 for q in qs)
     assert engine.value(10**12) >= 0
+
+
+BR_WALKS = [walk_spec(2 * parse_surd(name)) for name in ("sqrt2m1", "sqrt2m1over2", "xi4")]
+
+
+@pytest.mark.parametrize("exponent", [1000, 5000])
+def test_rules_engine_huge_index_reflection(exponent):
+    # S_{q/2+k} = S_{q/2} - S_k around the first even denominator q with
+    # q/2 >= 10^exponent, deep enough that a recursive form of the rules
+    # would overflow the interpreter stack
+    rng = random.Random(exponent)
+    for spec in BR_WALKS:
+        q = next(q for q in spec.cf.denominators_up_to(10 ** (exponent + 10))
+                 if q % 2 == 0 and q // 2 >= 10**exponent)
+        s = [0] + brute_walk(spec, 2000).sums.tolist()
+        half = RuleEngine(spec).value(q // 2)
+        for k in [1, 2000] + rng.sample(range(3, 2000), 3):
+            assert RuleEngine(spec).value(q // 2 + k) == half - s[k], f"k={k}"
+
+
+def test_rules_values_match_scalar_and_brute():
+    rng = random.Random(15)
+    for spec in BR_WALKS + [TWO_SQRT2]:
+        engine = RuleEngine(spec)
+        sweep = np.arange(1, 2 * 10**4 + 1)
+        got = engine.values(sweep)
+        assert np.array_equal(got, brute_walk(spec, 2 * 10**4).sums)
+        assert got.tolist() == [engine.value(n) for n in sweep.tolist()]
+        picks = [rng.randint(1, 10**15) for _ in range(500)]
+        assert engine.values(picks).tolist() == [engine.value(n) for n in picks]
+
+
+def test_rules_values_edges():
+    engine = RuleEngine(TWO_SQRT2)
+    empty = engine.values([])
+    assert empty.dtype == np.int64 and empty.shape == (0,)
+    assert engine.values([0, 70, 0]).tolist() == [0, 0, 0]
+    with pytest.raises(ValueError):
+        engine.values([5, -1])
+    with pytest.raises(ValueError):
+        engine.value(-1)
+    with pytest.raises(ValueError):  # the next denominator is past int64
+        engine.values([2**63 - 1])
 
 
 def test_diff_hits_examples():
