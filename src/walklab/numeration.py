@@ -15,7 +15,9 @@ Pell numeration is the base sqrt(2)-1 special case.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .qarith import ContinuedFraction
@@ -33,25 +35,33 @@ class Validation(NamedTuple):
         return self.ok
 
 
+_VALID = Validation(True)
+
+
 def validate(digits: Sequence[int], base: ContinuedFraction) -> Validation:
     """Check digit conditions (a)-(c) on an lsd-first raw digit list.
 
     Returns a verdict carrying the first violation, never raises.
     """
-    for i, b in enumerate(digits):
+    caps = base.quotients_through(len(digits))
+    k = 0
+    for b in digits:  # b = b_{k-1}, capped by a_k
+        k += 1
+        cap = caps[k]
+        if 0 <= b < cap:
+            continue  # meets (a)-(c) at this position
+        i = k - 1
         if b < 0:
             return Validation(False, f"digit b_{i} = {b} is negative")
-        cap = base.quotient(i + 1)
         if i == 0:
-            if b >= cap:
-                return Validation(False, f"b_0 = {b} not below a_1 = {cap}")
-        elif b > cap:
+            return Validation(False, f"b_0 = {b} not below a_1 = {cap}")
+        if b > cap:
             return Validation(False, f"b_{i} = {b} exceeds a_{i + 1} = {cap}")
-        elif b == cap and digits[i - 1] != 0:
+        if digits[i - 1] != 0:
             return Validation(
                 False, f"b_{i} = a_{i + 1} = {cap} but b_{i - 1} = {digits[i - 1]} != 0"
             )
-    return Validation(True)
+    return _VALID
 
 
 @dataclass(frozen=True)
@@ -63,7 +73,7 @@ class OstrowskiWord:
 
     def __post_init__(self):
         verdict = validate(self.digits, self.base)
-        if not verdict:
+        if not verdict.ok:
             raise InvalidDigits(verdict.reason)
         if self.digits and self.digits[-1] == 0:
             raise InvalidDigits("most-significant digit is zero (non-canonical)")
@@ -84,15 +94,17 @@ def encode(n: int, base: ContinuedFraction) -> OstrowskiWord:
         raise ValueError("cannot encode a negative integer")
     if n == 0:
         return OstrowskiWord((), base)
-    dens = base.denominators_up_to(n)
-    digits = [0] * len(dens)
+    dens = base.denominators_past(n)
+    top = bisect_right(dens, n)  # q_0 .. q_{top-1} are the place values <= n
+    digits = [0] * top
     rem = n
-    for i in range(len(dens) - 1, -1, -1):
-        b = rem // dens[i]
-        if i > 0:
-            b = min(b, base.quotient(i + 1))
-        digits[i] = b
-        rem -= b * dens[i]
+    # rem < q_{i+1} = a_{i+1} q_i + q_{i-1} on entry to place i, so the digit
+    # rem // q_i never exceeds a_{i+1}; the word's validation checks (a)-(c)
+    for i in range(top - 1, -1, -1):
+        q = dens[i]
+        if rem >= q:
+            digits[i] = rem // q
+            rem %= q
     if rem:
         raise RuntimeError(f"greedy expansion of {n} left a remainder {rem}")
     return OstrowskiWord(tuple(digits), base)
@@ -110,11 +122,7 @@ def decode(word: OstrowskiWord | Sequence[int], base: ContinuedFraction | None =
         if not verdict:
             raise InvalidDigits(verdict.reason)
         digits = tuple(word)
-    total = 0
-    for i, b in enumerate(digits):
-        if b:
-            total += b * base.denominator(i)
-    return total
+    return sum(map(mul, digits, base.denominators_through(len(digits) - 1)))
 
 
 def pell_number(n: int) -> int:

@@ -226,7 +226,8 @@ def _floor_pdq(p: int, dd: int, q: int) -> int:
 class ContinuedFraction:
     """Eventually periodic continued fraction with exact convergents.
 
-    The convergent cache grows on demand.
+    One cache holds a_n, p_n and q_n side by side; `_extend` is the only
+    place it grows, on demand.
     """
 
     def __init__(self, preperiod, period):
@@ -237,6 +238,7 @@ class ContinuedFraction:
         for i, q in enumerate(self.preperiod[1:] + self.period):
             if q < 1:
                 raise ValueError(f"partial quotient #{i + 1} is {q} < 1")
+        self._a: list[int] = []  # cached a_n
         self._p: list[int] = []  # cached p_n
         self._q: list[int] = []  # cached q_n, nondecreasing
 
@@ -248,12 +250,13 @@ class ContinuedFraction:
 
     def _extend(self, n: int) -> None:
         # p_{-1}/q_{-1} = 1/0 and p_{-2}/q_{-2} = 0/1 seed the recurrence
-        p, q = self._p, self._q
+        a, p, q = self._a, self._p, self._q
         while len(q) <= n:
             i = len(q)
             ai = self.quotient(i)
             p1, q1 = (p[i - 1], q[i - 1]) if i >= 1 else (1, 0)
             p2, q2 = (p[i - 2], q[i - 2]) if i >= 2 else ((1, 0) if i == 1 else (0, 1))
+            a.append(ai)
             p.append(ai * p1 + p2)
             q.append(ai * q1 + q2)
 
@@ -265,6 +268,24 @@ class ContinuedFraction:
     def denominator(self, n: int) -> int:
         self._extend(n)
         return self._q[n]
+
+    def quotients_through(self, n: int) -> list[int]:
+        """The cached a_0, a_1, ..., grown through a_n.
+
+        This is the cache itself, shared by every caller: read it, never
+        mutate it.
+        """
+        self._extend(n)
+        return self._a
+
+    def denominators_through(self, n: int) -> list[int]:
+        """The cached q_0, q_1, ..., grown through q_n.
+
+        This is the cache itself, shared by every caller: read it, never
+        mutate it.
+        """
+        self._extend(n)
+        return self._q
 
     def denominators_past(self, bound: int) -> list[int]:
         """The cached q_0, q_1, ..., grown until the last exceeds bound.

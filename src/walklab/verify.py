@@ -7,7 +7,7 @@ cover statements that are experimental rather than proved.
 
 Two scales are built in. `quick` keeps walks to 1e5 and automata sweeps to
 1e4 and takes about 2 s; `full` runs the acceptance-level bounds and takes
-about 20 s (both measured on a 2-vCPU x86-64 host).
+about 11 s (both measured on a 2-vCPU x86-64 host).
 """
 
 from __future__ import annotations

@@ -175,10 +175,13 @@ class RuleEngine:
     def values(self, indices) -> np.ndarray:
         """S_n for every index of an int64 array, folding all of them at once.
 
-        Raises ValueError for a negative index, or when a denominator the
-        rules need does not fit int64.
+        Raises ValueError for a negative index, an index past int64, or
+        when a denominator the rules need does not fit int64.
         """
-        n = np.array(indices, dtype=np.int64)
+        try:
+            n = np.array(indices, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("index does not fit int64") from None
         out = np.zeros(n.shape, dtype=np.int64)
         if n.size == 0:
             return out

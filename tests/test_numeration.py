@@ -72,12 +72,46 @@ def test_decode_examples():
 
 def test_validate_condition_c():
     verdict = validate(parse_digits("21"), PELL)
-    assert not verdict and "b_1" in verdict.reason
+    assert not verdict and verdict.reason == "b_1 = a_2 = 2 but b_0 = 1 != 0"
 
 
 def test_validate_condition_a():
     verdict = validate(parse_digits("2"), PELL)
-    assert not verdict and "a_1" in verdict.reason
+    assert not verdict and verdict.reason == "b_0 = 2 not below a_1 = 2"
+
+
+# sqrt(3)/2 = [0; 1, (6, 2)*]: the caps a_1..a_4 = 1, 6, 2, 6 are told apart
+# by value, so an index shifted by one shows in the reason
+@pytest.mark.parametrize(
+    "base, digits, reason",
+    [
+        (PELL, (1, -1), "digit b_1 = -1 is negative"),
+        (SQRT3_HALF, (0, 0, -1), "digit b_2 = -1 is negative"),
+        (SQRT3_HALF, (1,), "b_0 = 1 not below a_1 = 1"),
+        (PELL, (0, 3), "b_1 = 3 exceeds a_2 = 2"),
+        (SQRT3_HALF, (0, 7), "b_1 = 7 exceeds a_2 = 6"),
+        (SQRT3_HALF, (0, 0, 3), "b_2 = 3 exceeds a_3 = 2"),
+        (SQRT3_HALF, (0, 1, 2), "b_2 = a_3 = 2 but b_1 = 1 != 0"),
+        (SQRT3_HALF, (0, 0, 0, 7), "b_3 = 7 exceeds a_4 = 6"),
+        (SQRT3_HALF, (0, 0, 1, 6), "b_3 = a_4 = 6 but b_2 = 1 != 0"),
+    ],
+)
+def test_validate_reasons_verbatim(base, digits, reason):
+    verdict = validate(digits, base)
+    assert not verdict and verdict.reason == reason
+    with pytest.raises(InvalidDigits) as raised:
+        decode(list(digits), base)
+    assert str(raised.value) == reason
+    with pytest.raises(InvalidDigits) as raised:
+        OstrowskiWord(digits, base)
+    assert str(raised.value) == reason
+
+
+def test_validate_first_violation_wins():
+    # b_1 exceeds its cap and b_3 is negative: the lower position is reported
+    verdict = validate((0, 7, 0, -1), SQRT3_HALF)
+    assert verdict.reason == "b_1 = 7 exceeds a_2 = 6"
+    assert validate((0, 6, 0, 2), SQRT3_HALF)  # b_1 = a_2 after b_0 = 0 is fine
 
 
 def test_validate_worked_example():
@@ -92,8 +126,57 @@ def test_invalid_digits_raise_on_decode():
 
 
 def test_canonical_word_rejects_trailing_zero():
-    with pytest.raises(InvalidDigits):
+    with pytest.raises(InvalidDigits) as raised:
         OstrowskiWord((1, 0), PELL)  # msd "01"
+    assert str(raised.value) == "most-significant digit is zero (non-canonical)"
+
+
+def reference_digits(n, base):
+    """Greedy expansion one digit at a time from quotient() and denominator()."""
+    top = 0
+    while base.denominator(top) <= n:
+        top += 1
+    digits = [0] * top
+    rem = n
+    for i in range(top - 1, -1, -1):
+        b = rem // base.denominator(i)
+        if i > 0:
+            b = min(b, base.quotient(i + 1))
+        digits[i] = b
+        rem -= b * base.denominator(i)
+    assert rem == 0
+    return tuple(digits)
+
+
+def reference_value(digits, base):
+    return sum(b * base.denominator(i) for i, b in enumerate(digits))
+
+
+@pytest.mark.parametrize("name", ["sqrt2m1", "sqrt2m1over2", "sqrt3over2", "xi4"])
+def test_encode_decode_match_per_digit_reference(name):
+    base = cf_expand(parse_surd(name))
+    for n in range(2**14 + 1):
+        digits = encode(n, base).digits
+        assert digits == reference_digits(n, base), (name, n)
+        assert decode(encode(n, base)) == n == reference_value(digits, base)
+        assert decode(list(digits), base) == n
+
+
+@pytest.mark.parametrize("exponent", [300, 1000])
+def test_deep_encode_matches_reference_and_cache(exponent):
+    pell = cf_expand(parse_surd("sqrt2m1"))
+    n = 10**exponent + 12345
+    word = encode(n, pell)
+    assert word.digits == reference_digits(n, pell)
+    assert decode(word) == n == reference_value(word.digits, pell)
+    assert decode(list(word.digits), pell) == n
+    # the quotient cache grows alongside the denominators and agrees with both
+    a = pell.quotients_through(0)
+    q = pell.denominators_through(0)
+    assert len(a) == len(q) > len(word.digits)
+    assert all(a[i] == pell.quotient(i) for i in range(len(a)))
+    assert q[:2] == [1, a[1]]
+    assert all(q[i] == a[i] * q[i - 1] + q[i - 2] for i in range(2, len(q)))
 
 
 def test_roundtrip_small_all_bases():

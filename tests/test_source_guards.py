@@ -16,3 +16,35 @@ def test_no_assert_statements_in_package():
             f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
         ]
     assert not found, f"assert statements in walklab: {found}"
+
+
+MEMOIZERS = {"cache", "lru_cache", "cached_property"}
+
+
+def test_no_functools_memoization_in_package():
+    # a memo kept across calls turns repeated work into cache hits: a result
+    # cache makes timings lie and holds memory nothing asked for
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        aliases = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+            if alias.name == "functools"
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                hits = [alias.name for alias in node.names if alias.name in MEMOIZERS]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+                and node.attr in MEMOIZERS
+            ):
+                hits = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} functools.{name}" for name in hits]
+    assert not found, f"functools memoizers in walklab: {found}"

@@ -231,6 +231,10 @@ def test_rules_values_edges():
         engine.value(-1)
     with pytest.raises(ValueError):  # the next denominator is past int64
         engine.values([2**63 - 1])
+    with pytest.raises(ValueError, match="index does not fit int64"):
+        engine.values([5, 2**63])
+    with pytest.raises(ValueError, match="index does not fit int64"):
+        engine.values([-(2**63) - 1])
 
 
 def test_diff_hits_examples():
