@@ -13,6 +13,8 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import automata, recurrences, substitution, verify
 from .numeration import alphabet_size, decode, encode, format_digits, parse_digits
 from .qarith import cf_expand, parse_surd
@@ -35,13 +37,18 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _json_ints(values) -> list[int]:
+    """Python ints for json: one tolist() for an array, int() per item otherwise."""
+    return values.tolist() if isinstance(values, np.ndarray) else [int(v) for v in values]
+
+
 def _series_text(values, fmt: str, name: str) -> str:
     if fmt == "bfile":
         return "".join(f"{i} {v}\n" for i, v in enumerate(values, start=1))
     if fmt == "csv":
         return "n,value\n" + "".join(f"{i},{v}\n" for i, v in enumerate(values, start=1))
     if fmt == "json":
-        return json.dumps({"name": name, "values": [int(v) for v in values]}) + "\n"
+        return json.dumps({"name": name, "values": _json_ints(values)}) + "\n"
     return "".join(f"{v}\n" for v in values)
 
 
@@ -51,7 +58,7 @@ def _pair_text(a, b, fmt: str, name: str) -> str:
             f"{i},{x},{y}\n" for i, (x, y) in enumerate(zip(a, b), start=1)
         )
     if fmt == "json":
-        return json.dumps({"name": name, "a": [int(v) for v in a], "b": [int(v) for v in b]}) + "\n"
+        return json.dumps({"name": name, "a": _json_ints(a), "b": _json_ints(b)}) + "\n"
     raise ValueError("a/b emission needs --format csv or json")
 
 

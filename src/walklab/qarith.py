@@ -248,17 +248,24 @@ class ContinuedFraction:
             return self.preperiod[i]
         return self.period[(i - len(self.preperiod)) % len(self.period)]
 
-    def _extend(self, n: int) -> None:
-        # p_{-1}/q_{-1} = 1/0 and p_{-2}/q_{-2} = 0/1 seed the recurrence
+    def _extend(self, n: int, bound: int = -1) -> None:
+        """Grow the cache through index n, and on until the last q exceeds bound."""
         a, p, q = self._a, self._p, self._q
-        while len(q) <= n:
-            i = len(q)
-            ai = self.quotient(i)
-            p1, q1 = (p[i - 1], q[i - 1]) if i >= 1 else (1, 0)
-            p2, q2 = (p[i - 2], q[i - 2]) if i >= 2 else ((1, 0) if i == 1 else (0, 1))
+        i = len(q)
+        if i > n and (bound < 0 or q[-1] > bound):
+            return
+        # p_{-1}/q_{-1} = 1/0 and p_{-2}/q_{-2} = 0/1 seed the recurrence
+        p2, p1 = ([0, 1] + p[-2:])[-2:]
+        q2, q1 = ([1, 0] + q[-2:])[-2:]
+        pre, period = self.preperiod, self.period
+        while i <= n or q1 <= bound:
+            ai = pre[i] if i < len(pre) else period[(i - len(pre)) % len(period)]
+            p1, p2 = ai * p1 + p2, p1
+            q1, q2 = ai * q1 + q2, q1
             a.append(ai)
-            p.append(ai * p1 + p2)
-            q.append(ai * q1 + q2)
+            p.append(p1)
+            q.append(q1)
+            i += 1
 
     def convergents(self, n: int) -> list[tuple[int, int]]:
         """The first n+1 convergents (p_0, q_0) .. (p_n, q_n)."""
@@ -294,8 +301,8 @@ class ContinuedFraction:
         mutate it.
         """
         q = self._q
-        while not q or q[-1] <= bound:
-            self._extend(len(q))
+        if not q or q[-1] <= bound:
+            self._extend(0, bound)
         return q
 
     def denominators_up_to(self, bound: int) -> list[int]:

@@ -12,6 +12,11 @@ The walk is S_n = sum_{j<=n} (-1)^floor(j*theta). Two engines compute it:
 
 The brute engine is the oracle: everything the rules engine, the digit
 automata, and the recurrence generators claim is cross-checked against it.
+
+The bulk paths (the indicator kernel, the running sums of `brute_walk` and
+`discrepancy`, and the record scan) work one block of `_CHUNK` steps at a
+time, carrying state from block to block, so their temporaries stay in the
+L2 cache instead of streaming whole-length arrays through memory.
 """
 
 from __future__ import annotations
@@ -34,7 +39,10 @@ class CheckFailed(AssertionError):
 
 
 _SCALE = 62  # fixed-point bits for the certified step accumulator
-_CHUNK = 1 << 21
+# Steps per block of the bulk paths: a block's uint64/int64 temporaries
+# (512 KiB each) fit in L2 together. 2^14..2^16 measure alike; 2^21 blocks
+# were 3-5x slower.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -78,31 +86,55 @@ def _indicators(xi: QuadraticSurd, h: int, k: int, n: int, scale: int = _SCALE) 
     """int8 flags [{j*xi} < h/k] for j = 1..n, with xi in (0,1).
 
     With X = floor(xi * 2^scale), the scaled fractional part of j*xi lies in
-    [r, r + j) where r = j*X mod 2^scale. Any j whose interval straddles the
-    cut h*2^scale/k or wraps past 2^scale is decided by exact floors:
-    {j xi} < h/k  <=>  floor(k j xi) - k floor(j xi) < h.
+    [r, r + j) where r = j*X mod 2^scale. The uint64 product j*X wraps mod
+    2^64, and 2^scale divides 2^64, so masking it gives r exactly. Any j
+    whose interval straddles the cut h*2^scale/k or wraps past 2^scale is
+    decided by exact floors: {j xi} < h/k  <=>  floor(k j xi) - k floor(j xi) < h.
+    The flags are computed one block of `_CHUNK` steps at a time.
     """
     if n >= 1 << 30:
         raise ValueError("walk length beyond engine range")
-    x = floor_scaled(1 << scale, xi)
-    x_lo = np.uint64(x & 0x7FFFFFFF)
-    x_hi = np.uint64(x >> 31)
-    mask_frac = np.uint64((1 << scale) - 1)
-    mask32 = np.uint64(0xFFFFFFFF)
+    x = np.uint64(floor_scaled(1 << scale, xi))
+    mask = np.uint64((1 << scale) - 1)
     top = np.uint64(1 << scale)
     cut = np.uint64((h << scale) // k)
+    step = np.uint64(_CHUNK)
     out = np.empty(n, dtype=np.int8)
-    for start in range(1, n + 1, _CHUNK):
-        j = np.arange(start, min(start + _CHUNK, n + 1), dtype=np.uint64)
-        r = (j * x_lo + ((j * x_hi & mask32) << np.uint64(31))) & mask_frac
+    j = np.arange(1, min(n, _CHUNK) + 1, dtype=np.uint64)
+    for start in range(0, n, _CHUNK):
+        j = j[: n - start]  # the last block may be short
+        r = j * x
+        r &= mask
         hi_end = r + j
         sure_in = hi_end <= cut
         unsure = ~sure_in & ((r <= cut) | (hi_end >= top))
-        block = out[start - 1 : start - 1 + len(j)]
+        block = out[start : start + len(j)]
         block[:] = sure_in
-        for i in np.nonzero(unsure)[0]:
+        for i in np.flatnonzero(unsure):
             m = int(j[i])
             block[i] = floor_scaled(k * m, xi) - k * floor_scaled(m, xi) < h
+        j += step
+    return out
+
+
+def _running_sums(values: np.ndarray, scale: int = 1, offset: int = 0) -> np.ndarray:
+    """int64 running sums of the steps scale*v - offset over int8 values v.
+
+    Each block's steps are summed in place in the output, with the previous
+    block's last sum carried into its first step.
+    """
+    out = np.empty(len(values), dtype=np.int64)
+    carry = 0
+    for start in range(0, len(values), _CHUNK):
+        block = out[start : start + _CHUNK]
+        block[:] = values[start : start + _CHUNK]
+        if scale != 1:
+            block *= scale
+        if offset:
+            block -= offset
+        block[0] += carry
+        np.cumsum(block, out=block)
+        carry = int(block[-1])
     return out
 
 
@@ -129,7 +161,7 @@ def brute_walk(spec: WalkSpec, n: int, exact: bool = False) -> WalkTrace:
         signs = _indicators(spec.rotation, 1, 2, n)
         signs *= 2  # in place: flags {0, 1} become steps {-1, +1}
         signs -= 1
-    return WalkTrace(n=n, sums=np.cumsum(signs, dtype=np.int64), signs=signs)
+    return WalkTrace(n=n, sums=_running_sums(signs), signs=signs)
 
 
 def half_indicator(xi: QuadraticSurd, j: int) -> int:
@@ -224,16 +256,30 @@ def records(x: WalkTrace | WalkSpec, n: int) -> list[int]:
 
     Index 0 counts as the first record. Steps are +-1, so the set of values
     seen so far is an integer interval and a record is exactly a new running
-    maximum or minimum.
+    maximum or minimum. The scan carries the running (hi, lo) from block to
+    block; a block whose max and min stay inside [lo, hi] holds no record.
     """
     if n == 0:
         return [0]
-    t = _trace_for(x, n)
-    s = np.concatenate([np.zeros(1, dtype=np.int64), t.sums[:n]])
-    cmax = np.maximum.accumulate(s)
-    cmin = np.minimum.accumulate(s)
-    new = (s[1:] > cmax[:-1]) | (s[1:] < cmin[:-1])
-    return [0] + (np.nonzero(new)[0] + 1).tolist()
+    sums = _trace_for(x, n).sums[:n]
+    found = [np.zeros(1, dtype=np.int64)]
+    hi = lo = 0
+    for start in range(0, n, _CHUNK):
+        block = sums[start : start + _CHUNK]
+        top, bottom = int(block.max()), int(block.min())
+        if top > hi:
+            found.append(start + 1 + _new_extremes(np.maximum, hi, block))
+            hi = top
+        if bottom < lo:
+            found.append(start + 1 + _new_extremes(np.minimum, lo, block))
+            lo = bottom
+    return np.sort(np.concatenate(found)).tolist()
+
+
+def _new_extremes(ufunc: np.ufunc, bound: int, block: np.ndarray) -> np.ndarray:
+    """Positions in block where ufunc's running extreme, started at bound, moves."""
+    run = ufunc.accumulate(np.concatenate(([bound], block)))
+    return np.flatnonzero(run[1:] != run[:-1])
 
 
 def zeros(x: WalkTrace | WalkSpec, n: int) -> list[int]:
@@ -290,8 +336,8 @@ def discrepancy(xi: QuadraticSurd, endpoint: Fraction, n: int) -> np.ndarray:
         raise ValueError("interval endpoint must be in (0,1)")
     if xi.sign() <= 0 or xi >= 1:
         raise ValueError("rotation must lie in (0,1)")
-    counts = np.cumsum(_indicators(xi, h, k, n), dtype=np.int64)
-    return k * counts - h * np.arange(1, n + 1, dtype=np.int64)
+    # k*D_m is the running sum of the steps k*flag - h
+    return _running_sums(_indicators(xi, h, k, n), k, h)
 
 
 # --- identity checks -------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -43,6 +44,38 @@ def test_walk_emits(capsys):
                         "ab", "--format", "json")
     data = json.loads(out)
     assert data["a"][:4] == [1, 3, 5, 6] and data["b"][:3] == [2, 4, 7]
+
+
+@pytest.mark.parametrize(
+    "argv, head, size, sha256",
+    [
+        (
+            "walk --theta 2sqrt2 --emit ab --format json --n 200000",
+            '{"name": "ab", "a": [1, 3, 5, 6, 8, 10, 13, ',
+            1488924,
+            "748841ec3d365321798615ff9110c437ffa7eae695fcb1f77c9c8cbdbc80efd6",
+        ),
+        (
+            "walk --theta sqrt3 --emit sums --format json --n 100000",
+            '{"name": "sums", "values": [-1, -2, -3, -2, -1, 0, 1, 0, ',
+            399783,
+            "8ae3ba400c05b1d6031f2058bf7d1863b79364cb0c8a6d951a0318b9f6cdbf45",
+        ),
+        (
+            "recur --name halfpell --n 100 --format json",
+            '{"name": "halfpell", "values": [1, 6, 35, 204, 1189, ',
+            4074,
+            "947190f8cd75cd3e6227ed878977985f9b5553b50594010e59e96c39fed818fe",
+        ),
+    ],
+)
+def test_json_emission_pinned(capsys, argv, head, size, sha256):
+    # numpy arrays and lists of (huge) ints print the same json text; the
+    # digests pin the output of the per-item int() conversion
+    code, out = run_cli(capsys, *argv.split())
+    assert code == 0 and out.startswith(head) and out.endswith("]}\n")
+    assert len(out) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_walk_records_subcommand(capsys):

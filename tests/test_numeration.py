@@ -177,6 +177,11 @@ def test_deep_encode_matches_reference_and_cache(exponent):
     assert all(a[i] == pell.quotient(i) for i in range(len(a)))
     assert q[:2] == [1, a[1]]
     assert all(q[i] == a[i] * q[i - 1] + q[i - 2] for i in range(2, len(q)))
+    # and so do the numerators, grown in the same loop
+    p = pell._p
+    assert len(p) == len(q) and p[:2] == [a[0], a[1] * a[0] + 1]
+    assert all(p[i] == a[i] * p[i - 1] + p[i - 2] for i in range(2, len(p)))
+    assert all(p[i] * q[i - 1] - p[i - 1] * q[i] == (-1) ** (i - 1) for i in range(1, len(p)))
 
 
 def test_roundtrip_small_all_bases():

@@ -175,6 +175,31 @@ def test_convergent_recurrence_and_coprimality():
             assert math.gcd(*pq[n]) == 1
 
 
+def test_cache_same_whatever_the_growth_order():
+    # growing the cache index by index, past a bound, or in one call from
+    # cold gives the same a, p and q lists as the textbook recurrence
+    for xi in FIXTURES:
+        stepwise = cf_expand(xi)
+        stepwise.denominator(0)
+        stepwise.denominator(1)
+        stepwise.denominators_past(10**40)
+        stepwise.quotients_through(150)
+        top = len(stepwise.denominators_through(0))
+        cold = cf_expand(xi)
+        cold.quotients_through(top - 1)
+        a = [cold.quotient(i) for i in range(top)]
+        p, q = [a[0], a[1] * a[0] + 1], [1, a[1]]
+        for i in range(2, top):
+            p.append(a[i] * p[-1] + p[-2])
+            q.append(a[i] * q[-1] + q[-2])
+        # growth past the bound stops at the first q beyond it
+        assert top == 151 or q[-2] <= 10**40 < q[-1]
+        for cf in (stepwise, cold):
+            assert (cf._a, cf._p, cf._q) == (a, p, q)
+        # a cold cache asked for nothing stays empty
+        assert cf_expand(xi).denominators_through(-1) == []
+
+
 def test_convergents_approximate_value():
     # |xi - p/q| < 1/(q q') checked exactly: |q q' xi - p q'| < 1
     for xi in FIXTURES:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from walklab.qarith import QuadraticSurd, floor_scaled, parse_surd
+from walklab import walk
 from walklab.walk import (
+    _CHUNK,
     CheckFailed,
     NotBrNumber,
     RuleEngine,
@@ -26,6 +28,9 @@ TWO_SQRT2 = walk_spec(parse_surd("2sqrt2"))
 SQRT2 = walk_spec(parse_surd("sqrt2"))
 SQRT3 = walk_spec(parse_surd("sqrt3"))
 SQRT2M1_WALK = walk_spec(parse_surd("sqrt2m1"))
+
+# lengths around the bulk paths' block size, where a carry crosses a block
+BLOCK_NS = (_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7)
 
 TABLE1_A = [1, 3, 5, 6, 8, 10, 13, 15, 17, 18, 20, 22, 25, 27, 29, 30, 32, 34]
 TABLE1_B = [2, 4, 7, 9, 11, 12, 14, 16, 19, 21, 23, 24, 26, 28, 31, 33, 36, 38]
@@ -81,6 +86,112 @@ def test_certified_engine_low_scale_fallback():
     flags = _indicators(xi, 1, 3, 3000, scale=16)
     want = [floor_scaled(3 * j, xi) - 3 * floor_scaled(j, xi) < 1 for j in range(1, 3001)]
     assert flags.tolist() == [int(w) for w in want]
+
+
+def test_certified_engine_low_scale_fallback_across_blocks(monkeypatch):
+    # at 20 bits every block past the first falls back often; the flags after
+    # each block boundary must still match exact floors
+    n = 2 * _CHUNK + 7
+    fallbacks = []
+    exact_floor = walk.floor_scaled
+
+    def counting_floor(j, xi):
+        fallbacks.append(j)
+        return exact_floor(j, xi)
+
+    monkeypatch.setattr(walk, "floor_scaled", counting_floor)
+    flags = _indicators(TWO_SQRT2.rotation, 1, 2, n, scale=20)
+    monkeypatch.undo()
+    # one call scales xi, then each fallback step m calls floor(2m xi), floor(m xi)
+    steps = fallbacks[2::2]
+    assert fallbacks[1::2] == [2 * m for m in steps]
+    assert sum(m > _CHUNK for m in steps) > 1000
+    assert np.array_equal(2 * flags - 1, _signs_exact(TWO_SQRT2.theta, n))
+    xi = parse_surd("sqrt3over2")
+    flags = _indicators(xi, 1, 3, n, scale=20)
+    assert np.array_equal(flags, exact_flags(xi, 1, 3, n))
+
+
+def exact_flags(xi, h, k, n):
+    """[{j*xi} < h/k] for j = 1..n, one pair of exact floors per step."""
+    return np.array(
+        [floor_scaled(k * j, xi) - k * floor_scaled(j, xi) < h for j in range(1, n + 1)],
+        dtype=np.int8,
+    )
+
+
+@pytest.fixture(scope="module")
+def exact_walks():
+    n = BLOCK_NS[-1]
+    return {spec: brute_walk(spec, n, exact=True).signs for spec in (TWO_SQRT2, SQRT3)}
+
+
+@pytest.fixture(scope="module")
+def exact_sqrt2m1_flags():
+    xi = parse_surd("sqrt2m1")
+    return {k: exact_flags(xi, 1, k, BLOCK_NS[-1]) for k in (2, 3)}
+
+
+@pytest.mark.parametrize("n", BLOCK_NS)
+def test_brute_walk_across_blocks(n, exact_walks):
+    for spec, signs in exact_walks.items():
+        t = brute_walk(spec, n)
+        assert np.array_equal(t.signs, signs[:n])
+        assert np.array_equal(t.sums, np.cumsum(signs[:n], dtype=np.int64))
+
+
+@pytest.mark.parametrize("n", BLOCK_NS)
+def test_discrepancy_across_blocks(n, exact_sqrt2m1_flags):
+    xi = parse_surd("sqrt2m1")
+    for k, flags in exact_sqrt2m1_flags.items():
+        want = np.cumsum(k * flags[:n].astype(np.int64) - 1)
+        assert np.array_equal(discrepancy(xi, Fraction(1, k), n), want)
+
+
+def records_reference(sums) -> list[int]:
+    """Plain running max/min scan, S_0 = 0 being the first record."""
+    found, hi, lo = [0], 0, 0
+    for i, v in enumerate(sums.tolist(), start=1):
+        if v > hi or v < lo:
+            found.append(i)
+            hi, lo = max(hi, v), min(lo, v)
+    return found
+
+
+@pytest.mark.parametrize("n", BLOCK_NS)
+def test_records_across_blocks(n, exact_walks):
+    for spec in exact_walks:
+        t = brute_walk(spec, n)
+        assert records(t, n) == records_reference(t.sums)
+
+
+def boundary_record_trace() -> WalkTrace:
+    """A +-1 walk whose records land on the first and last index of blocks.
+
+    It zigzags between two values and breaks out only at indices B, B+1,
+    2B+1 and 3B, where B is the block size.
+    """
+    b = _CHUNK
+    zigzag = [1, -1]
+    steps = (
+        zigzag * ((b - 2) // 2) + [1]  # S_{B-1} = 1
+        + [1, 1]  # new maxima at B and B+1
+        + [-1, -1, -1] + zigzag * ((b - 4) // 2)  # back to S_{2B} = 0
+        + [-1]  # new minimum at 2B+1
+        + zigzag * ((b - 2) // 2) + [-1]  # new minimum at 3B
+        + [1, -1, 1, -1, 1, -1, 1]
+    )
+    signs = np.array(steps, dtype=np.int8)
+    return WalkTrace(n=len(signs), sums=np.cumsum(signs, dtype=np.int64), signs=signs)
+
+
+def test_records_on_block_edges():
+    b = _CHUNK
+    t = boundary_record_trace()
+    assert t.n == 3 * b + 7
+    assert records(t, t.n) == records_reference(t.sums) == [0, 1, b, b + 1, 2 * b + 1, 3 * b]
+    for n in BLOCK_NS + (2 * b, 2 * b + 1, 3 * b):
+        assert records(t, n) == records_reference(t.sums[:n])
 
 
 def test_table1():
