@@ -136,7 +136,7 @@ class _Builder:
             return False
         return True
 
-    def build(self, start_track, track_step, track_accepts, direction=LSD) -> DigitDfa:
+    def build(self, start_track, track_step, track_accepts) -> DigitDfa:
         start = (0, True, start_track)
         ids: dict = {start: 0}
         order = [start]
@@ -167,7 +167,7 @@ class _Builder:
             accepting=accepting,
             dead=dead,
             alphabet=self.alphabet,
-            direction=direction,
+            direction=LSD,
         )
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -209,21 +208,18 @@ def _run_subst(args) -> str:
 
 
 def _run_verify(args) -> tuple[str, int]:
-    scale = os.environ.get("WALKLAB_SCALE", args.scale)
-    if scale not in verify.SCALES:
-        raise ValueError(f"WALKLAB_SCALE must be one of {tuple(verify.SCALES)}, got {scale!r}")
-    results = verify.run_suite(args.suite, scale, inject_failure=args.inject_failure)
+    results = verify.run_suite(args.suite, args.scale, inject_failure=args.inject_failure)
     failed = [r for r in results if not r.ok and not r.conjectural]
     if args.format == "json":
         payload = [
             {"name": r.name, "status": r.status(), "conjectural": r.conjectural, "detail": r.detail}
             for r in results
         ]
-        text = json.dumps({"scale": scale, "checks": payload}, indent=2) + "\n"
+        text = json.dumps({"scale": args.scale, "checks": payload}, indent=2) + "\n"
     else:
         width = max(len(r.name) for r in results)
         lines = [f"{r.status():<18} {r.name:<{width}}  {r.detail}" for r in results]
-        summary = f"{len(results)} checks, {len(failed)} failed (scale={scale})"
+        summary = f"{len(results)} checks, {len(failed)} failed (scale={args.scale})"
         if failed:
             summary += "; first failure: " + failed[0].name
         text = "\n".join(lines + [summary]) + "\n"

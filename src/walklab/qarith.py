@@ -2,13 +2,18 @@
 
 Values are surds (a + b*sqrt(d))/c held as arbitrary-precision integers, so
 floors, comparisons and continued fractions are computed without any floating
-point. Rationals are deliberately rejected at construction: everything
-downstream (walks, numeration, automata) is defined for irrationals only.
+point. Arithmetic stays on integer triples (a, b, c): an int or Fraction
+operand enters as (n, 0, m), each operator is a cross-multiplication formula,
+a comparison reads one integer sign of the cross-multiplied difference, and
+only a result with b == 0 leaves as an int or Fraction. Rationals are
+deliberately rejected at construction: everything downstream (walks,
+numeration, automata) is defined for irrationals only.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -49,6 +54,18 @@ def isqrt_floor(b: int, d: int) -> int:
     return r if b > 0 else -r - 1
 
 
+def _sign(a: int, b: int, d: int) -> int:
+    """Sign of a + b*sqrt(d) for integers a, b and squarefree d >= 2."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    sb = 1 if b > 0 else -1
+    # with opposite signs the larger square wins; b*b*d == a*a cannot
+    # happen because sqrt(d) is irrational
+    if a * sb >= 0 or b * b * d > a * a:
+        return sb
+    return -sb
+
+
 @dataclass(frozen=True)
 class QuadraticSurd:
     """(a + b*sqrt(d))/c with gcd(a,b,c)=1, c>0, d squarefree, b != 0."""
@@ -83,65 +100,64 @@ class QuadraticSurd:
     # --- ordering -----------------------------------------------------
 
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if b > 0:
-            if a >= 0:
-                return 1
-            # a < 0 < b: compare b*sqrt(d) with |a|
-            return 1 if b * b * self.d > a * a else -1
-        if a <= 0:
-            return -1
-        return -1 if b * b * self.d > a * a else 1
+        return _sign(self.a, self.b, self.d)
 
-    def _diff_sign(self, other) -> int:
-        delta = self - other
-        if isinstance(delta, QuadraticSurd):
-            return delta.sign()
-        if delta == 0:
-            return 0
-        return 1 if delta > 0 else -1
+    def _compare(self, other, holds):
+        """holds(sign of self - other, 0), read off the cross-multiplied difference."""
+        t = self._operand(other)
+        if t is None:
+            return NotImplemented
+        a, b, c = t
+        return holds(_sign(self.a * c - a * self.c, self.b * c - b * self.c, self.d), 0)
 
     def __lt__(self, other):
-        return self._diff_sign(other) < 0
+        return self._compare(other, operator.lt)
 
     def __le__(self, other):
-        return self._diff_sign(other) <= 0
+        return self._compare(other, operator.le)
 
     def __gt__(self, other):
-        return self._diff_sign(other) > 0
+        return self._compare(other, operator.gt)
 
     def __ge__(self, other):
-        return self._diff_sign(other) >= 0
+        return self._compare(other, operator.ge)
 
     # --- arithmetic ---------------------------------------------------
 
-    @staticmethod
-    def _coerce(x) -> tuple[Fraction, Fraction] | None:
-        """Return (rational part, sqrt coefficient) or None if unsupported."""
+    def _operand(self, x) -> tuple[int, int, int] | None:
+        """(a, b, c) with x = (a + b*sqrt(d))/c and c > 0, or None if unsupported."""
         if isinstance(x, QuadraticSurd):
-            return Fraction(x.a, x.c), Fraction(x.b, x.c)
-        if isinstance(x, (int, Fraction)):
-            return Fraction(x), Fraction(0)
+            if x.d != self.d:
+                raise MixedRadicand(f"sqrt({self.d}) vs sqrt({x.d})")
+            return x.a, x.b, x.c
+        if isinstance(x, int):
+            return x, 0, 1
+        if isinstance(x, Fraction):
+            return x.numerator, 0, x.denominator
         return None
 
-    def _wrap(self, r: Fraction, s: Fraction):
-        """Rebuild (r + s*sqrt(d)); collapse to Fraction when s == 0."""
-        if s == 0:
-            return r if r.denominator != 1 else int(r)
-        c = math.lcm(r.denominator, s.denominator)
-        return QuadraticSurd(int(r * c), int(s * c), self.d, c)
+    def _result(self, a: int, b: int, c: int):
+        """(a + b*sqrt(d))/c as a surd, or as an int or Fraction when b == 0."""
+        if b:
+            return QuadraticSurd(a, b, self.d, c)
+        q, r = divmod(a, c)
+        return Fraction(a, c) if r else q
 
-    def _same_d(self, other):
-        if isinstance(other, QuadraticSurd) and other.d != self.d:
-            raise MixedRadicand(f"sqrt({self.d}) vs sqrt({other.d})")
+    def _quotient(self, num: tuple[int, int, int], den: tuple[int, int, int]):
+        # multiply through by the denominator's conjugate; its norm is 0 only for 0
+        (a1, b1, c1), (a2, b2, c2) = num, den
+        d = self.d
+        norm = a2 * a2 - b2 * b2 * d
+        if norm == 0:
+            raise ZeroDivisionError("division by zero")
+        return self._result((a1 * a2 - b1 * b2 * d) * c2, (b1 * a2 - a1 * b2) * c2, c1 * norm)
 
     def __add__(self, other):
-        self._same_d(other)
-        parts = self._coerce(other)
-        if parts is None:
+        t = self._operand(other)
+        if t is None:
             return NotImplemented
-        r, s = parts
-        return self._wrap(Fraction(self.a, self.c) + r, Fraction(self.b, self.c) + s)
+        a, b, c = t
+        return self._result(self.a * c + a * self.c, self.b * c + b * self.c, self.c * c)
 
     __radd__ = __add__
 
@@ -149,46 +165,38 @@ class QuadraticSurd:
         return QuadraticSurd(-self.a, -self.b, self.d, self.c)
 
     def __sub__(self, other):
-        if isinstance(other, QuadraticSurd):
-            return self + (-other)
-        if isinstance(other, (int, Fraction)):
-            return self + (-Fraction(other))
-        return NotImplemented
+        t = self._operand(other)
+        if t is None:
+            return NotImplemented
+        a, b, c = t
+        return self._result(self.a * c - a * self.c, self.b * c - b * self.c, self.c * c)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        self._same_d(other)
-        parts = self._coerce(other)
-        if parts is None:
+        t = self._operand(other)
+        if t is None:
             return NotImplemented
-        r, s = parts
-        me_r, me_s = Fraction(self.a, self.c), Fraction(self.b, self.c)
-        return self._wrap(me_r * r + me_s * s * self.d, me_r * s + me_s * r)
+        a, b, c = t
+        return self._result(self.a * a + self.b * b * self.d, self.a * b + self.b * a, self.c * c)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadraticSurd":
-        # 1/((a+b*sqrt(d))/c) = c*(a-b*sqrt(d)) / (a^2 - b^2 d); the norm is
-        # never zero because sqrt(d) is irrational and b != 0.
-        norm = self.a * self.a - self.b * self.b * self.d
-        return QuadraticSurd(self.c * self.a, -self.c * self.b, self.d, norm)
+        return self._quotient((1, 0, 1), (self.a, self.b, self.c))
 
     def __truediv__(self, other):
-        self._same_d(other)
-        if isinstance(other, QuadraticSurd):
-            return self * other.inverse()
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
+        t = self._operand(other)
+        if t is None:
+            return NotImplemented
+        return self._quotient((self.a, self.b, self.c), t)
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.inverse() * other
-        return NotImplemented
+        t = self._operand(other)
+        if t is None:
+            return NotImplemented
+        return self._quotient(t, (self.a, self.b, self.c))
 
     # --- floors and conversions ---------------------------------------
 
@@ -200,9 +208,6 @@ class QuadraticSurd:
     def fractional(self) -> "QuadraticSurd":
         return self - self.floor()
 
-    def __float__(self):
-        return (self.a + self.b * math.sqrt(self.d)) / self.c
-
     def __str__(self):
         return f"({self.a}+{self.b}*sqrt({self.d}))/{self.c}"
 
@@ -213,6 +218,8 @@ def floor_scaled(j: int, xi: QuadraticSurd) -> int:
 
 
 # --- continued fractions ----------------------------------------------
+
+_MAX_CF_TERMS = 10**5  # a period this long means a bug, not a surd
 
 
 def _floor_pdq(p: int, dd: int, q: int) -> int:
@@ -267,11 +274,6 @@ class ContinuedFraction:
             q.append(q1)
             i += 1
 
-    def convergents(self, n: int) -> list[tuple[int, int]]:
-        """The first n+1 convergents (p_0, q_0) .. (p_n, q_n)."""
-        self._extend(n)
-        return list(zip(self._p[: n + 1], self._q[: n + 1]))
-
     def denominator(self, n: int) -> int:
         self._extend(n)
         return self._q[n]
@@ -316,7 +318,7 @@ class ContinuedFraction:
         return f"CF[{pre};({per})*]"
 
 
-def cf_expand(xi: QuadraticSurd, max_terms: int = 10**5) -> ContinuedFraction:
+def cf_expand(xi: QuadraticSurd) -> ContinuedFraction:
     """Continued fraction of a quadratic surd with exact period detection.
 
     Runs the classical (P + sqrt(D))/Q state recurrence; the state space is
@@ -332,7 +334,7 @@ def cf_expand(xi: QuadraticSurd, max_terms: int = 10**5) -> ContinuedFraction:
 
     quotients: list[int] = []
     seen: dict[tuple[int, int], int] = {}
-    while len(quotients) < max_terms:
+    while len(quotients) < _MAX_CF_TERMS:
         key = (p, q)
         if key in seen:
             k = seen[key]

@@ -125,6 +125,8 @@ def running_sum_extrema(word: str, signs: Mapping[str, int]) -> tuple[int, int, 
 
 # --- empirical return map ---------------------------------------------------
 
+_MAX_RETURN_STEPS = 10_000  # far past every return time m^2 + m + 1 checked
+
 
 @dataclass(frozen=True)
 class ReturnMapReport:
@@ -134,20 +136,7 @@ class ReturnMapReport:
     itinerary: str
 
 
-def _label(point: Point, xi: QuadraticSurd) -> str:
-    # circle partition: a = [0, 1/2), b = [1/2, 1-xi), c = [1-xi, 1)
-    if point < Fraction(1, 2):
-        return "a"
-    if point < 1 - xi:
-        return "b"
-    return "c"
-
-
-def return_map_empirical(
-    m: int,
-    points: Sequence[Point] | int = 100,
-    max_iterations: int = 10_000,
-) -> list[ReturnMapReport]:
+def return_map_empirical(m: int, points: Sequence[Point] | int = 100) -> list[ReturnMapReport]:
     """Iterate the rotation exactly until each sample returns to [0, 1-m*xi).
 
     Checks along the way that the observed return time, landing point and
@@ -161,8 +150,11 @@ def return_map_empirical(
     xi = noble_mean_adjusted(m)
     k = m // 2
     interval_len = 1 - m * xi
-    cut_ab = Fraction(1, 2) - k * xi  # a' ends here
-    cut_bc = (1 - xi) * interval_len  # b' ends here; equals (m+1)-(m^2+m+1)xi
+    # circle partition: a = [0, 1/2), b = [1/2, 1-xi), c = [1-xi, 1)
+    half, gap = Fraction(1, 2), 1 - xi
+    boundaries = (half, gap, interval_len)
+    cut_ab = half - k * xi  # a' ends here
+    cut_bc = gap * interval_len  # b' ends here; equals (m+1)-(m^2+m+1)xi
     sub = noble_substitution(m)
 
     if isinstance(points, int):
@@ -188,18 +180,18 @@ def return_map_empirical(
         y: Point = x
         steps = 0
         while True:
-            for boundary in (Fraction(1, 2), 1 - xi, interval_len):
+            for boundary in boundaries:
                 if y == boundary:
                     raise CheckFailed(f"orbit hit partition boundary {boundary}")
-            itinerary.append(_label(y, xi))
+            itinerary.append("a" if y < half else "b" if y < gap else "c")
             y = y + xi
             if y >= 1:
                 y = y - 1
             steps += 1
             if y < interval_len:
                 break
-            if steps > max_iterations:
-                raise NoReturn(f"no return from {x} within {max_iterations} steps")
+            if steps > _MAX_RETURN_STEPS:
+                raise NoReturn(f"no return from {x} within {_MAX_RETURN_STEPS} steps")
 
         word = "".join(itinerary)
         expected_time = m * m + 1 if home in "ab" else m * m + m + 1

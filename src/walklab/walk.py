@@ -293,10 +293,11 @@ def zeros(x: WalkTrace | WalkSpec, n: int) -> list[int]:
 def ab_sequences(x: WalkTrace | WalkSpec, n: int) -> AbSequences:
     t = _trace_for(x, n)
     signs = t.signs[:n]
-    return AbSequences(
-        a=np.nonzero(signs > 0)[0] + 1,
-        b=np.nonzero(signs < 0)[0] + 1,
-    )
+    a = np.flatnonzero(signs > 0)
+    b = np.flatnonzero(signs < 0)
+    a += 1  # in place: positions become 1-based step indices
+    b += 1
+    return AbSequences(a=a, b=b)
 
 
 def ab_terms(spec: WalkSpec, count: int) -> AbSequences:
@@ -305,6 +306,8 @@ def ab_terms(spec: WalkSpec, count: int) -> AbSequences:
     Unlike ab_sequences, which partitions a fixed number of steps, this
     extends the walk until both sequences have `count` entries.
     """
+    if count < 0:
+        raise ValueError("term count must be >= 0")
     steps = 2 * count + 64
     while True:
         seqs = ab_sequences(spec, steps)
@@ -330,6 +333,8 @@ def discrepancy(xi: QuadraticSurd, endpoint: Fraction, n: int) -> np.ndarray:
     D_m = #{j <= m : {j xi} < h/k} - (h/k) m; the returned values are the
     exact integers k*D_m.
     """
+    if n < 0:
+        raise ValueError("walk length must be >= 0")
     endpoint = Fraction(endpoint)
     h, k = endpoint.numerator, endpoint.denominator
     if not 0 < endpoint < 1:

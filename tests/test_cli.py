@@ -149,6 +149,26 @@ def test_usage_error_exit_2(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["seq", "--theta", "2sqrt2", "--which", "a", "--n", "-3"], "term count must be >= 0"),
+        (["walk", "--theta", "2sqrt2", "--emit", "diff", "--n", "-3"], "term count must be >= 0"),
+        (["discrepancy", "--xi", "sqrt2m1", "--n", "-5"], "walk length must be >= 0"),
+    ],
+)
+def test_negative_length_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_discrepancy_zero_length_prints_nothing(capsys):
+    assert run_cli(capsys, "discrepancy", "--xi", "sqrt2m1", "--n", "0") == (0, "")
+
+
 def test_subst_odd_m_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["subst", "--m", "3", "--emit", "sigma"])
@@ -175,10 +195,3 @@ def test_verify_json(capsys):
     data = json.loads(out)
     assert data["scale"] == "quick"
     assert all(c["status"] == "pass" for c in data["checks"])
-
-
-def test_verify_env_scale_override(capsys, monkeypatch):
-    monkeypatch.setenv("WALKLAB_SCALE", "nonsense")
-    with pytest.raises(SystemExit) as err:
-        main(["verify", "--suite", "recurrences"])
-    assert err.value.code == 2

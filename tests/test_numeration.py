@@ -227,7 +227,7 @@ def test_pell_alphabet_and_greedy_cap():
 def test_pell_index_alias():
     assert [pell_number(n) for n in range(8)] == [0, 1, 2, 5, 12, 29, 70, 169]
     # P_n = q_{n-1}
-    qs = [q for _, q in PELL.convergents(6)]
+    qs = PELL.denominators_through(6)[:7]
     assert [pell_number(n + 1) for n in range(7)] == qs
 
 

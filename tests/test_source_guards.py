@@ -48,3 +48,26 @@ def test_no_functools_memoization_in_package():
                 continue
             found += [f"{path.name}:{node.lineno} functools.{name}" for name in hits]
     assert not found, f"functools memoizers in walklab: {found}"
+
+
+def test_no_floats_in_package():
+    # every reported value is exact: a float conversion, a float square root
+    # or a __float__ hook would let rounding into a surd computation
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                hit = node.func.id == "float"
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                owner = node.func.value
+                hit = isinstance(owner, ast.Name) and (owner.id, node.func.attr) == ("math", "sqrt")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                hit = any(alias.name == "sqrt" for alias in node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                hit = node.name == "__float__"
+            else:
+                continue
+            if hit:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"float arithmetic in walklab: {found}"

@@ -15,6 +15,7 @@ from walklab.walk import (
     _indicators,
     _signs_exact,
     ab_sequences,
+    ab_terms,
     brute_walk,
     diff_hits,
     discrepancy,
@@ -394,6 +395,16 @@ def test_discrepancy_input_validation():
         discrepancy(parse_surd("sqrt2m1"), Fraction(3, 2), 10)
     with pytest.raises(ValueError):
         discrepancy(parse_surd("sqrt2"), Fraction(1, 2), 10)  # not in (0,1)
+    with pytest.raises(ValueError, match="walk length must be >= 0"):
+        discrepancy(parse_surd("sqrt2m1"), Fraction(1, 2), -5)
+    assert len(discrepancy(parse_surd("sqrt2m1"), Fraction(1, 2), 0)) == 0
+
+
+def test_negative_term_counts_rejected():
+    with pytest.raises(ValueError, match="term count must be >= 0"):
+        ab_terms(TWO_SQRT2, -3)
+    with pytest.raises(ValueError, match="term count must be >= 0"):
+        diff_hits(TWO_SQRT2, 1, -3)
 
 
 def test_lemma_checks_smallest_case():
