@@ -227,6 +227,20 @@ def _run_verify(args) -> tuple[str, int]:
 
 
 def main(argv=None) -> int:
+    """Run one walklab command; returns the exit status."""
+    # CPython 3.11+ caps int <-> str conversion at 4300 digits, but the
+    # library takes integers of any size: lift the cap for this command only
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     status = 0

@@ -89,7 +89,17 @@ class OstrowskiWord:
 
 
 def encode(n: int, base: ContinuedFraction) -> OstrowskiWord:
-    """Greedy most-significant-first expansion of n >= 0."""
+    """Greedy most-significant-first expansion of n >= 0.
+
+    rem < q_{i+1} = a_{i+1} q_i + q_{i-1} on entry to place i, so the digit
+    rem // q_i never exceeds a_{i+1}, and small quotients make small digits
+    the common case. So a place subtracts q_i up to three times and divides
+    once only for a digit of 4 or more: a base whose quotients are all
+    <= 3 (Pell, for one) never divides. Subtracting beats dividing on the
+    near-equal huge operands of a deep index, and a third subtraction
+    keeps small ints on the quotient-4 bases, whose digits are mostly 1 to
+    3, as fast as dividing. The word's validation checks (a)-(c).
+    """
     if n < 0:
         raise ValueError("cannot encode a negative integer")
     if n == 0:
@@ -98,13 +108,23 @@ def encode(n: int, base: ContinuedFraction) -> OstrowskiWord:
     top = bisect_right(dens, n)  # q_0 .. q_{top-1} are the place values <= n
     digits = [0] * top
     rem = n
-    # rem < q_{i+1} = a_{i+1} q_i + q_{i-1} on entry to place i, so the digit
-    # rem // q_i never exceeds a_{i+1}; the word's validation checks (a)-(c)
     for i in range(top - 1, -1, -1):
         q = dens[i]
         if rem >= q:
-            digits[i] = rem // q
-            rem %= q
+            rem -= q
+            if rem < q:
+                digits[i] = 1
+                continue
+            rem -= q
+            if rem < q:
+                digits[i] = 2
+                continue
+            rem -= q
+            if rem < q:
+                digits[i] = 3
+            else:
+                b, rem = divmod(rem, q)
+                digits[i] = b + 3
     if rem:
         raise RuntimeError(f"greedy expansion of {n} left a remainder {rem}")
     return OstrowskiWord(tuple(digits), base)

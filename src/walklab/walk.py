@@ -193,15 +193,21 @@ class RuleEngine:
         if n < 0:
             raise ValueError("index must be >= 0")
         dens = self.spec.cf.denominators_past(n)
+        i = bisect_right(dens, n) - 1
         acc = 0
+        # q_i <= n < q_{i+1} at each fold, and the folded index stays below
+        # q_{i+1}: Rule C gives n - q_i < q_{i+1}, Rule B q_{i+1} - 1 - n.
+        # So the level is found once and afterwards only steps down.
         while n:
-            i = bisect_right(dens, n) - 1
             qp = dens[i]
+            while qp > n:
+                i -= 1
+                qp = dens[i]
             if qp == n:
                 return acc + (n & 1)  # Rule A
-            q = dens[i + 1]
             acc += qp & 1
-            n = n - qp if 2 * n < q else q - n - 1  # Rule C, else Rule B
+            t = dens[i + 1] - n
+            n = n - qp if n < t else t - 1  # Rule C (2n < q_{i+1}), else Rule B
         return acc
 
     def values(self, indices) -> np.ndarray:

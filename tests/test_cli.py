@@ -1,9 +1,13 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
 from walklab.cli import main
+from walklab.numeration import encode, format_digits
+from walklab.qarith import cf_expand, parse_surd
+from walklab.recurrences import half_pell
 
 
 def run_cli(capsys, *argv):
@@ -31,6 +35,45 @@ def test_encode_decode(capsys):
     assert (code, out) == (0, "69\n")
     code, out = run_cli(capsys, "encode", "--base", "sqrt2m1", "--lsd", "69")
     assert (code, out) == (0, "10202\n")
+
+
+def int_text_cap():
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+def long_str(n: int) -> str:
+    """str(n) past CPython's 4300-digit int <-> str cap, restoring the cap after."""
+    cap = int_text_cap()
+    if cap is None:
+        return str(n)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+def test_encode_decode_past_int_text_cap(capsys):
+    cap = int_text_cap()
+    n_text = "1" + "0" * 4999 + "7"  # 10**5000 + 7, longer than the 4300-digit cap
+    code, word = run_cli(capsys, "encode", "--base", "sqrt2m1", n_text)
+    assert code == 0
+    digits = encode(10**5000 + 7, cf_expand(parse_surd("sqrt2m1"))).digits
+    assert word == format_digits(digits, msd=True, alphabet=3) + "\n"
+    code, out = run_cli(capsys, "decode", "--base", "sqrt2m1", word.strip())
+    assert (code, out) == (0, n_text + "\n")
+    assert int_text_cap() == cap  # the cap is lifted for the command only
+
+
+def test_recur_past_int_text_cap(capsys):
+    # about the fewest terms whose last one passes the cap: printing them
+    # costs seconds, since int -> str is quadratic in the digit count
+    code, out = run_cli(capsys, "recur", "--name", "halfpell", "--n", "11300")
+    assert code == 0
+    lines = out.splitlines()
+    last = long_str(half_pell(11300)[-1])
+    assert len(lines) == 11300 and len(last) > 4300
+    assert lines[-1].split()[-1] == last
 
 
 def test_walk_emits(capsys):

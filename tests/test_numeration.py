@@ -13,7 +13,7 @@ from walklab.numeration import (
     pell_number,
     validate,
 )
-from walklab.qarith import cf_expand, parse_surd
+from walklab.qarith import QuadraticSurd, cf_expand, parse_surd
 
 PELL = cf_expand(parse_surd("sqrt2m1"))
 HALF = cf_expand(parse_surd("sqrt2m1over2"))
@@ -162,26 +162,49 @@ def test_encode_decode_match_per_digit_reference(name):
         assert decode(list(digits), base) == n
 
 
-@pytest.mark.parametrize("exponent", [300, 1000])
-def test_deep_encode_matches_reference_and_cache(exponent):
-    pell = cf_expand(parse_surd("sqrt2m1"))
+DEEP_BASES = {
+    "sqrt2m1": PELL,  # digits 0..2: encode never divides
+    "sqrt2m1over2": HALF,  # digits 0..4
+    "xi4": cf_expand(parse_surd("xi4")),
+    "[0;(2000)*]": cf_expand(QuadraticSurd(-1000, 1, 1000001)),  # nearly every digit >= 4
+}
+
+
+@pytest.mark.parametrize("name", list(DEEP_BASES))
+@pytest.mark.parametrize("exponent", [300, 1000, 5000])
+def test_deep_encode_matches_reference_and_cache(exponent, name):
+    base = DEEP_BASES[name]
     n = 10**exponent + 12345
-    word = encode(n, pell)
-    assert word.digits == reference_digits(n, pell)
-    assert decode(word) == n == reference_value(word.digits, pell)
-    assert decode(list(word.digits), pell) == n
+    word = encode(n, base)
+    assert word.digits == reference_digits(n, base)
+    assert decode(word) == n == reference_value(word.digits, base)
+    assert decode(list(word.digits), base) == n
     # the quotient cache grows alongside the denominators and agrees with both
-    a = pell.quotients_through(0)
-    q = pell.denominators_through(0)
+    a = base.quotients_through(0)
+    q = base.denominators_through(0)
     assert len(a) == len(q) > len(word.digits)
-    assert all(a[i] == pell.quotient(i) for i in range(len(a)))
+    assert all(a[i] == base.quotient(i) for i in range(len(a)))
     assert q[:2] == [1, a[1]]
     assert all(q[i] == a[i] * q[i - 1] + q[i - 2] for i in range(2, len(q)))
     # and so do the numerators, grown in the same loop
-    p = pell._p
+    p = base._p
     assert len(p) == len(q) and p[:2] == [a[0], a[1] * a[0] + 1]
     assert all(p[i] == a[i] * p[i - 1] + p[i - 2] for i in range(2, len(p)))
-    assert all(p[i] * q[i - 1] - p[i - 1] * q[i] == (-1) ** (i - 1) for i in range(1, len(p)))
+    # the determinant identity takes two big products per index: check it on
+    # every entry below 10^1000 and on the deepest hundred
+    for i in range(1, len(p)):
+        if q[i] < 10**1000 or i >= len(p) - 100:
+            assert p[i] * q[i - 1] - p[i - 1] * q[i] == (-1) ** (i - 1), i
+
+
+def test_deep_encode_takes_every_digit_branch():
+    # encode subtracts a place value once for a digit 1, twice for a 2,
+    # three times for a 3, and divides for a 4 or more; the deep cases
+    # above reach every branch
+    seen = set()
+    for base in DEEP_BASES.values():
+        seen |= {min(b, 4) for b in encode(10**1000 + 12345, base).digits}
+    assert seen == {0, 1, 2, 3, 4}
 
 
 def test_roundtrip_small_all_bases():

@@ -1,8 +1,11 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walklab.qarith import QuadraticSurd, floor_scaled, parse_surd
 from walklab import walk
@@ -318,6 +321,56 @@ def test_rules_engine_huge_index_reflection(exponent):
         half = RuleEngine(spec).value(q // 2)
         for k in [1, 2000] + rng.sample(range(3, 2000), 3):
             assert RuleEngine(spec).value(q // 2 + k) == half - s[k], f"k={k}"
+
+
+def reference_rules_value(spec, n):
+    """The rules fold with a fresh bisection over the denominators at every fold."""
+    dens = spec.cf.denominators_past(n)
+    acc = 0
+    while n:
+        i = bisect_right(dens, n) - 1
+        qp = dens[i]
+        if qp == n:
+            return acc + (n & 1)  # Rule A
+        q = dens[i + 1]
+        acc += qp & 1
+        n = n - qp if 2 * n < q else q - n - 1  # Rule C, else Rule B
+    return acc
+
+
+def test_rules_value_matches_bisect_reference_deep():
+    rng = random.Random(1000)
+    for spec in BR_WALKS:
+        engine = RuleEngine(spec)
+        qs = spec.cf.denominators_up_to(10**1000)
+        picks = [rng.randint(1, 10**rng.randint(1, 1000)) for _ in range(40)]
+        picks += [q + d for q in qs[-3:] for d in (-1, 0, 1)]  # Rule A and both neighbours
+        for n in picks:
+            assert engine.value(n) == reference_rules_value(spec, n), n
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=20),
+    l=st.integers(min_value=1, max_value=20),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_rules_random_br_rotations(k, l, seed):
+    # xi = [0;(2k, l)*] solves 2k xi^2 + 2kl xi - l = 0; the angle 2 xi walks it
+    xi = QuadraticSurd(-k * l, 1, k * l * (k * l + 2), 2 * k)
+    spec = walk_spec(2 * xi)
+    assert spec.rotation == xi and spec.br
+    assert [spec.cf.quotient(i) for i in range(5)] == [0, 2 * k, l, 2 * k, l]
+    engine = RuleEngine(spec)
+    sweep = list(range(1, 2 * 10**4 + 1))
+    assert [engine.value(n) for n in sweep] == brute_walk(spec, 2 * 10**4).sums.tolist()
+    rng = random.Random(seed)
+    # int64 indices whose next denominator still fits int64
+    top = spec.cf.denominators_up_to(2**63 - 1)[-1] - 1
+    picks = [rng.randint(0, top) for _ in range(200)]
+    assert engine.values(picks).tolist() == [engine.value(n) for n in picks]
+    for n in picks[:50] + [rng.randint(1, 10**rng.randint(19, 300)) for _ in range(20)]:
+        assert engine.value(n) == reference_rules_value(spec, n), n
 
 
 def test_rules_values_match_scalar_and_brute():
