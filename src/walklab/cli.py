@@ -1,8 +1,12 @@
 """Command-line front end.
 
 Sequence emitters share one output layer: b-file ("index value" per line,
-1-based), csv, json or plain text, written to stdout or --output. Exit codes:
-0 success, 1 a verification check failed, 2 usage error.
+1-based), csv, json or plain text, written to stdout or --output. Integer
+arrays are formatted as decimal text in numpy, one block of `walk._CHUNK`
+rows at a time, and each block is written as soon as it is made; lists of
+Python ints (huge recurrence terms, short record and zero lists) take the
+str() path, which the array kernel is tested against. Exit codes: 0 success,
+1 a verification check failed, 2 usage error (an unwritable output included).
 """
 
 from __future__ import annotations
@@ -10,7 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -18,6 +24,7 @@ from . import automata, recurrences, substitution, verify
 from .numeration import alphabet_size, decode, encode, format_digits, parse_digits
 from .qarith import cf_expand, parse_surd
 from .walk import (
+    _CHUNK,
     ab_sequences,
     ab_terms,
     brute_walk,
@@ -28,12 +35,69 @@ from .walk import (
 )
 
 
-def _emit(text: str, path: str | None) -> None:
+def _decimal_digits(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ASCII digits of uint64 values, least significant first, as a
+    (passes, len) uint8 array ("0" past a value's leading digit), and each
+    value's digit count: one plus its nonzero quotients by 10."""
+    passes = len(str(int(mag.max())))
+    digits = np.empty((passes, len(mag)), dtype=np.uint8)
+    count = np.ones(len(mag), dtype=np.uint8)
+    quot = np.empty_like(mag)
+    for p in range(passes):
+        np.floor_divide(mag, 10, out=quot)
+        digits[p] = mag - 10 * quot
+        count += quot != 0
+        mag, quot = quot, mag
+    digits += 48
+    return digits, count
+
+
+def _int_rows(columns, sep: str) -> Iterator[str]:
+    """Decimal text of equal-length integer arrays: one line per row, the
+    row's values joined by sep. Yields one str per block of _CHUNK rows.
+
+    A block is laid out in one uint8 buffer whose byte 0 is a sink. Line ends
+    come from one cumsum of the field widths, and each field is filled from
+    the right, one digit per pass. A pass past a field's leading digit writes
+    its "0" to the byte just before the field: the sink, or the sign,
+    separator or newline that is written after it.
+    """
+    for lo in range(0, len(columns[0]), _CHUNK):
+        fields = []
+        line = np.int64(len(columns))  # k - 1 separators and a newline
+        for col in columns:
+            v = np.asarray(col[lo : lo + _CHUNK], dtype=np.int64)
+            neg = v < 0
+            digits, count = _decimal_digits(np.abs(v).view(np.uint64))  # exact for -2^63
+            fields.append((neg, digits, count))
+            line = line + count + neg
+        ends = np.cumsum(line)
+        buf = np.empty(int(ends[-1]) + 1, dtype=np.uint8)
+        end = ends
+        for k in reversed(range(len(fields))):
+            neg, digits, count = fields[k]
+            before = end - count - 1
+            for p, row in enumerate(digits):
+                buf[before + (np.maximum(count, p) - p)] = row
+            if neg.any():
+                buf[before] = ord("-")
+            end = before - neg
+            if k:
+                buf[end] = ord(sep)
+        buf[ends] = ord("\n")
+        yield str(memoryview(buf)[1:], "ascii")
+
+
+def _emit(chunks: str | Iterable[str], path: str | None) -> None:
+    """Write a text, or each of its chunks as it is made, to the -o file or
+    to sys.stdout (any text stream, with or without a .buffer)."""
+    if isinstance(chunks, str):
+        chunks = [chunks]
     if path:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _json_ints(values) -> list[int]:
@@ -41,23 +105,27 @@ def _json_ints(values) -> list[int]:
     return values.tolist() if isinstance(values, np.ndarray) else [int(v) for v in values]
 
 
-def _series_text(values, fmt: str, name: str) -> str:
-    if fmt == "bfile":
-        return "".join(f"{i} {v}\n" for i, v in enumerate(values, start=1))
-    if fmt == "csv":
-        return "n,value\n" + "".join(f"{i},{v}\n" for i, v in enumerate(values, start=1))
+def _series_text(values, fmt: str, name: str) -> Iterable[str]:
+    """Text chunks of one sequence: arrays through _int_rows, lists of
+    Python ints through one f-string join."""
     if fmt == "json":
-        return json.dumps({"name": name, "values": _json_ints(values)}) + "\n"
-    return "".join(f"{v}\n" for v in values)
+        return [json.dumps({"name": name, "values": _json_ints(values)}) + "\n"]
+    head = ["n,value\n"] if fmt == "csv" else []
+    sep = "," if fmt == "csv" else " "
+    if isinstance(values, np.ndarray):
+        columns = [values] if fmt == "plain" else [np.arange(1, len(values) + 1), values]
+        return chain(head, _int_rows(columns, sep))
+    if fmt == "plain":
+        return ["".join(f"{v}\n" for v in values)]
+    return head + ["".join(f"{i}{sep}{v}\n" for i, v in enumerate(values, start=1))]
 
 
-def _pair_text(a, b, fmt: str, name: str) -> str:
+def _pair_text(a, b, fmt: str, name: str) -> Iterable[str]:
     if fmt == "csv":
-        return "n,a,b\n" + "".join(
-            f"{i},{x},{y}\n" for i, (x, y) in enumerate(zip(a, b), start=1)
-        )
+        rows = min(len(a), len(b))  # a row per index that has both terms
+        return chain(["n,a,b\n"], _int_rows([np.arange(1, rows + 1), a[:rows], b[:rows]], ","))
     if fmt == "json":
-        return json.dumps({"name": name, "a": _json_ints(a), "b": _json_ints(b)}) + "\n"
+        return [json.dumps({"name": name, "a": _json_ints(a), "b": _json_ints(b)}) + "\n"]
     raise ValueError("a/b emission needs --format csv or json")
 
 
@@ -161,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_walk(args) -> str:
+def _run_walk(args) -> Iterable[str]:
     spec = walk_spec(args.theta)
     emit = args.emit
     if emit == "ab":
@@ -169,14 +237,13 @@ def _run_walk(args) -> str:
         return _pair_text(seqs.a, seqs.b, args.format, "ab")
     if emit == "diff":
         seqs = ab_terms(spec, args.n)
-        return _series_text((seqs.b - seqs.a).tolist(), args.format, "diff")
+        return _series_text(seqs.b - seqs.a, args.format, "diff")
     if emit == "records":
         return _series_text(records(spec, args.n), args.format, "records")
     if emit == "zeros":
         return _series_text(zeros(spec, args.n), args.format, "zeros")
     trace = brute_walk(spec, args.n)
-    values = trace.sums.tolist() if emit == "sums" else trace.signs.tolist()
-    return _series_text(values, args.format, emit)
+    return _series_text(trace.sums if emit == "sums" else trace.signs, args.format, emit)
 
 
 def _run_dfa(args) -> str:
@@ -247,8 +314,7 @@ def _run(argv) -> int:
     try:
         if args.command == "seq":
             seqs = ab_terms(walk_spec(args.theta), args.n)
-            values = (seqs.a if args.which == "a" else seqs.b).tolist()
-            text = _series_text(values, args.format, args.which)
+            text = _series_text(seqs.a if args.which == "a" else seqs.b, args.format, args.which)
         elif args.command == "walk":
             text = _run_walk(args)
         elif args.command == "records":
@@ -271,14 +337,17 @@ def _run(argv) -> int:
             text = _series_text(recurrences.generate(args.name, args.n), args.format, args.name)
         elif args.command == "discrepancy":
             values = discrepancy(args.xi, args.endpoint, args.n)
-            text = _series_text(values.tolist(), args.format, "k*D_n")
+            text = _series_text(values, args.format, "k*D_n")
         elif args.command == "verify":
             text, status = _run_verify(args)
         else:  # unreachable: argparse enforces the choices
             parser.error(f"unknown command {args.command}")
     except (ValueError, KeyError) as exc:
         parser.error(str(exc))
-    _emit(text, args.output)
+    try:
+        _emit(text, args.output)
+    except OSError as exc:
+        parser.error(f"cannot write output: {exc}")
     return status
 
 

@@ -51,5 +51,5 @@ def test_a001108_prefix(capsys):
 
 
 def test_a000129_pell_numbers():
-    text = _series_text([pell_number(n) for n in range(12)], "bfile", "pell")
+    text = "".join(_series_text([pell_number(n) for n in range(12)], "bfile", "pell"))
     assert text == fixture_text("A000129.bfile")

@@ -1,13 +1,22 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from walklab.cli import main
+from walklab.cli import _int_rows, _pair_text, _series_text, main
 from walklab.numeration import encode, format_digits
 from walklab.qarith import cf_expand, parse_surd
 from walklab.recurrences import half_pell
+from walklab.walk import _CHUNK
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +128,175 @@ def test_json_emission_pinned(capsys, argv, head, size, sha256):
     assert code == 0 and out.startswith(head) and out.endswith("]}\n")
     assert len(out) == size
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "argv, head, size, sha256",
+    [
+        (
+            "walk --theta 2sqrt2 --emit sums --n 1000000",
+            "1 1\n2 0\n3 1\n4 0\n5 1\n6 2\n7 1\n8 2\n9 1\n10 2\n",
+            8888896,
+            "8450bffd12d9eaea6714ea3e5185745246b4916f660c08d12ca903eb9c78e72d",
+        ),
+        (
+            "seq --theta 2sqrt2 --which a --n 200000 --format csv",
+            "n,value\n1,1\n2,3\n3,5\n4,6\n5,8\n6,10\n7,13\n",
+            2633347,
+            "3cb5f24a27616e016a2d0f9180be1725a43455a40205487d92c7500baa7bb299",
+        ),
+        (
+            "discrepancy --xi sqrt2m1 --n 100000 --format csv",
+            "n,value\n1,1\n2,0\n3,1\n4,0\n5,1\n6,2\n7,1\n",
+            788903,
+            "326f42acb734eb2e806a72d02b17d62f5485ce9b4d8a68b35ab549e8bdb618d6",
+        ),
+        (
+            "walk --theta sqrt3 --emit signs --format plain --n 100000",
+            "-1\n-1\n-1\n1\n1\n1\n1\n-1\n",
+            250002,
+            "f3dd33d6fedf13878b1b78d64a3d5baf36932cf335f54f8b53c28eae10734c00",
+        ),
+        (
+            "walk --theta 2sqrt2 --emit ab --format csv --n 200000",
+            "n,a,b\n1,1,2\n2,3,4\n3,5,7\n4,6,9\n5,8,11\n",
+            1877755,
+            "34941c2a406ed43e260c65966db69c467333649512f9374cdb142cb24083a5b8",
+        ),
+        (
+            "walk --theta 2sqrt2 --emit diff --n 100000",
+            "1 1\n2 1\n3 2\n4 3\n5 3\n6 2\n7 1\n",
+            800361,
+            "d3d45a01bb31972a0b56042577137bbdb54c47390398bb646256d160a47c0431",
+        ),
+    ],
+)
+def test_array_emission_pinned(capsys, argv, head, size, sha256):
+    # bytes of the per-line f-string output that the array kernel replaced
+    code, out = run_cli(capsys, *argv.split())
+    assert code == 0 and out.startswith(head)
+    assert len(out) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+# --- the array formatting kernel against str() -------------------------------
+
+EDGES = [0, 1, -1, 2**63 - 1, -(2**63)] + [
+    s * (10**k + e) for k in range(1, 19) for e in (-1, 0) for s in (1, -1)
+]
+
+
+def reference_rows(columns, sep):
+    return "".join(sep.join(map(str, row)) + "\n" for row in zip(*(c.tolist() for c in columns)))
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Equal texts, or a short report of the first differing line: pytest's
+    own diff of two megabyte texts takes minutes."""
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(True), want.splitlines(True)
+    i = next(
+        (i for i, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w),
+        min(len(got_lines), len(want_lines)),
+    )
+    pytest.fail(f"line {i + 1}: got {got_lines[i:i + 1]!r}, want {want_lines[i:i + 1]!r}, "
+                f"{len(got)} vs {len(want)} chars")
+
+
+def random_int64(rng, n):
+    """int64 values of every magnitude, with edge values sprinkled in."""
+    values = rng.integers(-(2**63), 2**63, n, dtype=np.int64) >> rng.integers(0, 64, n)
+    if n:
+        values[rng.integers(0, n, 64)] = rng.choice(EDGES, 64)
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(*[st.integers(-(2**63), 2**63 - 1)] * 3), max_size=40),
+    st.integers(1, 3),
+    st.sampled_from([" ", ","]),
+)
+def test_int_rows_matches_str(rows, width, sep):
+    columns = [np.array([r[c] for r in rows], dtype=np.int64) for c in range(width)]
+    assert "".join(_int_rows(columns, sep)) == reference_rows(columns, sep)
+
+
+def test_int_rows_edge_values():
+    values = np.array(EDGES, dtype=np.int64)
+    assert "".join(_int_rows([values], " ")) == "".join(f"{v}\n" for v in EDGES)
+    pairs = [values, values[::-1].copy()]
+    assert "".join(_int_rows(pairs, ",")) == reference_rows(pairs, ",")
+
+
+@pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+def test_int_rows_block_edges(n):
+    rng = np.random.default_rng(n)
+    columns = [np.arange(1, n + 1), random_int64(rng, n), random_int64(rng, n)]
+    chunks = list(_int_rows(columns, ","))
+    assert len(chunks) == -(-n // _CHUNK)  # one chunk per block, none when empty
+    assert_same_text("".join(chunks), reference_rows(columns, ","))
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, _CHUNK + 1])
+@pytest.mark.parametrize("fmt", ["bfile", "csv", "plain"])
+@pytest.mark.parametrize("dtype", [np.int64, np.int8])
+def test_series_text_array_matches_list(dtype, fmt, n):
+    # the Python-int path (one f-string join) is the reference for arrays;
+    # int8 columns are the walk's signs
+    rng = np.random.default_rng(n)
+    values = random_int64(rng, n) if dtype is np.int64 else rng.choice([-1, 1], n).astype(np.int8)
+    text = "".join(_series_text(values, fmt, "v"))
+    assert_same_text(text, "".join(_series_text(values.tolist(), fmt, "v")))
+    if fmt == "csv":
+        assert text.startswith("n,value\n")
+        assert n or text == "n,value\n"
+
+
+@pytest.mark.parametrize("n", [0, 3, _CHUNK + 2])
+def test_pair_text_csv_matches_fstrings(n):
+    rng = np.random.default_rng(n)
+    a, b = random_int64(rng, n), random_int64(rng, n + 3)  # b longer: rows stop at a's end
+    expected = "n,a,b\n" + "".join(
+        f"{i},{x},{y}\n" for i, (x, y) in enumerate(zip(a.tolist(), b.tolist()), start=1)
+    )
+    assert_same_text("".join(_pair_text(a, b, "csv", "ab")), expected)
+
+
+def cli_subprocess(*argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "walklab.cli", *argv],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_stream_without_buffer_matches_subprocess(tmp_path):
+    # the output layer writes str chunks to sys.stdout, so a StringIO stdout
+    # (no .buffer) gets the same text as a real one, over several blocks
+    argv = ["walk", "--theta", "2sqrt2", "--emit", "sums", "--n", str(3 * _CHUNK + 5)]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    expected = cli_subprocess(*argv).decode()
+    assert_same_text(buf.getvalue(), expected)
+    target = tmp_path / "sums.bfile"
+    assert main([*argv, "-o", str(target)]) == 0
+    assert_same_text(target.read_bytes().decode(), expected)
+
+
+def test_unwritable_output_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    with pytest.raises(SystemExit) as err:
+        main(["walk", "--theta", "2sqrt2", "--n", "5", "-o", str(target)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot write output" in captured.err and "Traceback" not in captured.err
 
 
 def test_walk_records_subcommand(capsys):
