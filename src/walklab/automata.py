@@ -1,10 +1,12 @@
 """Finite automata over Ostrowski digit alphabets.
 
-Machines read one digit per step and classify integers by their digit
-expansions. Builders produce least-significant-digit-first automata for the
-zero set and the record set of a BR walk; both fold digit validity into the
-machine, so an input that is not a well-formed expansion lands in the
-explicit dead state and is reported as `invalid` rather than `reject`.
+Machines read one digit per step, least significant digit first (the order
+of `OstrowskiWord.digits` and of `parse_digits`), and classify integers by
+their digit expansions. State 0 is the start and the last state is the
+absorbing dead state. Builders produce automata for the zero set and the
+record set of a BR walk; both fold digit validity into the machine, so an
+input that is not a well-formed expansion lands in the dead state and is
+reported as `invalid` rather than `reject`.
 
 State layout is deterministic (breadth-first discovery order), which keeps
 DOT exports byte-stable for golden tests.
@@ -24,9 +26,6 @@ ACCEPT = "accept"
 REJECT = "reject"
 INVALID = "invalid"
 
-LSD = "lsd"
-MSD = "msd"
-
 
 class AlphabetMismatch(ValueError):
     """Input digit outside the machine's alphabet."""
@@ -38,23 +37,19 @@ class UnknownFixture(KeyError):
 
 @dataclass(frozen=True)
 class DigitDfa:
-    """Total deterministic automaton over digits 0..alphabet-1."""
+    """Total deterministic automaton over digits 0..alphabet-1, read
+    lsd-first. State 0 is the start, the last row is the absorbing dead
+    state, and the alphabet is the row width."""
 
     transitions: tuple[tuple[int, ...], ...]
     accepting: frozenset[int]
-    dead: int
-    alphabet: int
-    direction: str = LSD
-    start: int = 0
 
     def __post_init__(self):
-        n = len(self.transitions)
-        if self.direction not in (LSD, MSD):
-            raise ValueError(f"direction must be lsd or msd, got {self.direction!r}")
-        if not 0 <= self.start < n or not 0 <= self.dead < n:
-            raise ValueError("start/dead state out of range")
+        if not self.transitions:
+            raise ValueError("a machine needs at least its dead state")
+        n, width = len(self.transitions), len(self.transitions[0])
         for state, row in enumerate(self.transitions):
-            if len(row) != self.alphabet:
+            if len(row) != width:
                 raise ValueError(f"state {state} is not total over the alphabet")
             if any(not 0 <= t < n for t in row):
                 raise ValueError(f"state {state} has a target out of range")
@@ -67,29 +62,27 @@ class DigitDfa:
     def n_states(self) -> int:
         return len(self.transitions)
 
+    @property
+    def dead(self) -> int:
+        return len(self.transitions) - 1
 
-def run(dfa: DigitDfa, word: OstrowskiWord | Sequence[int], direction: str | None = None) -> str:
-    """Feed a digit word to the machine; verdict accept / reject / invalid.
+    @property
+    def alphabet(self) -> int:
+        return len(self.transitions[0])
 
-    `direction` names the order of the digits handed in (OstrowskiWord is
-    lsd-first internally; raw sequences default to msd, the print order).
-    Words in the opposite order of the machine are reversed first.
-    """
-    if isinstance(word, OstrowskiWord):
-        digits: Sequence[int] = word.digits
-        direction = LSD
-    else:
-        digits = list(word)
-        direction = direction or MSD
-    if direction != dfa.direction:
-        digits = list(reversed(digits))
-    state = dfa.start
+
+def run(dfa: DigitDfa, word: OstrowskiWord | Sequence[int]) -> str:
+    """Feed an lsd-first digit word to the machine; verdict accept / reject
+    / invalid."""
+    digits = word.digits if isinstance(word, OstrowskiWord) else word
     table = dfa.transitions
+    alphabet = len(table[0])
+    state = 0
     for g in digits:
-        if not 0 <= g < dfa.alphabet:
-            raise AlphabetMismatch(f"digit {g} outside alphabet 0..{dfa.alphabet - 1}")
+        if not 0 <= g < alphabet:
+            raise AlphabetMismatch(f"digit {g} outside alphabet 0..{alphabet - 1}")
         state = table[state][g]
-    if state == dfa.dead:
+    if state == len(table) - 1:
         return INVALID
     return ACCEPT if state in dfa.accepting else REJECT
 
@@ -162,13 +155,7 @@ class _Builder:
             tuple(dead if t is self.DEAD else ids[t] for t in row) for row in rows
         ) + ((dead,) * self.alphabet,)
         accepting = frozenset(i for i, key in enumerate(order) if track_accepts(key[2]))
-        return DigitDfa(
-            transitions=table,
-            accepting=accepting,
-            dead=dead,
-            alphabet=self.alphabet,
-            direction=LSD,
-        )
+        return DigitDfa(transitions=table, accepting=accepting)
 
 
 def build_zero_dfa(cf: ContinuedFraction) -> DigitDfa:
@@ -223,27 +210,22 @@ def build_record_dfa(cf: ContinuedFraction) -> DigitDfa:
 # --- hand-written fixtures -------------------------------------------------
 
 
-def _fixture(rows, accepting, alphabet=3) -> DigitDfa:
+def _fixture(rows, accepting) -> DigitDfa:
     dead = len(rows)
-    table = tuple(tuple(row) for row in rows) + ((dead,) * alphabet,)
-    return DigitDfa(
-        transitions=table,
-        accepting=frozenset(accepting),
-        dead=dead,
-        alphabet=alphabet,
-        direction=MSD,
-    )
+    table = tuple(tuple(row) for row in rows) + ((dead,) * len(rows[0]),)
+    return DigitDfa(transitions=table, accepting=frozenset(accepting))
 
 
 def hardcoded_fixture(name: str) -> DigitDfa:
-    """Small msd machines pinning the printed digit languages.
+    """Small machines pinning the printed digit languages, as lsd regexes
+    (the printed msd forms are their reversals):
 
-    records_sqrt2   : 1*            (all-ones words, plus the empty word)
-    records_2sqrt2  : (10)*1        (plus the empty word)
-    zeros_2sqrt2    : (10|20)(00|10|20)*  (plus the empty word)
+    records_sqrt2   : 1*                       (msd 1*)
+    records_2sqrt2  : 1(01)*                   (msd (10)*1)
+    zeros_2sqrt2    : (00|01|02)*(01|02)       (msd (10|20)(00|10|20)*)
 
-    Unlike the built machines these do not track expansion validity; any
-    word outside the language is simply rejected.
+    each plus the empty word. Unlike the built machines these do not track
+    expansion validity; any word outside the language is simply rejected.
     """
     if name == "records_sqrt2":
         # 0: seen only 1s (accept); 1: sink
@@ -252,8 +234,9 @@ def hardcoded_fixture(name: str) -> DigitDfa:
         # 0: start/empty, 1: just read 1 (accept), 2: just read 0, 3: sink
         return _fixture([(3, 1, 3), (2, 3, 3), (3, 1, 3), (3, 3, 3)], {0, 1})
     if name == "zeros_2sqrt2":
-        # 0: start/empty, 1: mid-pair, 2: pair complete (accept), 3: sink
-        return _fixture([(3, 1, 1), (2, 3, 3), (1, 1, 1), (3, 3, 3)], {0, 2})
+        # 0: start/empty (accept), 1: mid-pair, 2: pair 00 complete,
+        # 3: pair 01/02 complete (accept), 4: sink
+        return _fixture([(1, 4, 4), (2, 3, 3), (1, 4, 4), (1, 4, 4), (4, 4, 4)], {0, 3})
     raise UnknownFixture(name)
 
 
@@ -288,29 +271,26 @@ def equiv_oracle(
 # --- rendering ---------------------------------------------------------------
 
 
-def to_dot(dfa: DigitDfa, include_dead: bool = False) -> str:
-    """Graphviz source; accepting states double-circled, dead state omitted
-    unless asked for. Output is stable for a fixed machine."""
+def to_dot(dfa: DigitDfa) -> str:
+    """Graphviz source; accepting states double-circled, dead state omitted.
+    Output is stable for a fixed machine."""
+    dead = dfa.dead
     lines = [
         "digraph dfa {",
         "  rankdir=LR;",
-        f"  // {dfa.direction} input, alphabet 0..{dfa.alphabet - 1}",
+        f"  // lsd input, alphabet 0..{dfa.alphabet - 1}",
         '  start [shape=point, label=""];',
-        f"  start -> s{dfa.start};",
+        "  start -> s0;",
     ]
-    for state in range(dfa.n_states):
-        if state == dfa.dead and not include_dead:
-            continue
+    for state in range(dead):
         shape = "doublecircle" if state in dfa.accepting else "circle"
         lines.append(f"  s{state} [shape={shape}, label=\"{state}\"];")
-    for state in range(dfa.n_states):
-        if state == dfa.dead and not include_dead:
-            continue
+    for state in range(dead):
         grouped: dict[int, list[int]] = {}
         for g, target in enumerate(dfa.transitions[state]):
             grouped.setdefault(target, []).append(g)
         for target in sorted(grouped):
-            if target == dfa.dead and not include_dead:
+            if target == dead:
                 continue
             label = ",".join(map(str, grouped[target]))
             lines.append(f"  s{state} -> s{target} [label=\"{label}\"];")

@@ -7,12 +7,14 @@ rows at a time, and each block is written as soon as it is made; lists of
 Python ints (huge recurrence terms, short record and zero lists) take the
 str() path, which the array kernel is tested against. Exit codes: 0 success,
 1 a verification check failed, 2 usage error (an unwritable output included).
+A reader that closes stdout early ends the output quietly.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
@@ -224,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", choices=tuple(verify.SCALES), default="quick")
     p.add_argument("--format", choices=("plain", "json"), default="plain")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--inject-failure", default=None, help=argparse.SUPPRESS)
 
     return parser
 
@@ -253,8 +254,8 @@ def _run_dfa(args) -> str:
     if args.out == "dot":
         return automata.to_dot(dfa)
     lines = [
-        f"states {dfa.n_states} alphabet {dfa.alphabet} direction {dfa.direction}",
-        f"start {dfa.start} dead {dfa.dead} accepting {sorted(dfa.accepting)}",
+        f"states {dfa.n_states} alphabet {dfa.alphabet} direction lsd",
+        f"start 0 dead {dfa.dead} accepting {sorted(dfa.accepting)}",
     ]
     for state, row in enumerate(dfa.transitions):
         lines.append(f"{state}: " + " ".join(map(str, row)))
@@ -275,7 +276,7 @@ def _run_subst(args) -> str:
 
 
 def _run_verify(args) -> tuple[str, int]:
-    results = verify.run_suite(args.suite, args.scale, inject_failure=args.inject_failure)
+    results = verify.run_suite(args.suite, args.scale)
     failed = [r for r in results if not r.ok and not r.conjectural]
     if args.format == "json":
         payload = [
@@ -346,6 +347,12 @@ def _run(argv) -> int:
         parser.error(str(exc))
     try:
         _emit(text, args.output)
+    except BrokenPipeError as exc:
+        if args.output:
+            parser.error(f"cannot write output: {exc}")
+        # the reader of stdout stopped early, which is not an error; point
+        # stdout at devnull so that the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except OSError as exc:
         parser.error(f"cannot write output: {exc}")
     return status

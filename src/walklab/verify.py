@@ -26,6 +26,7 @@ from .qarith import cf_expand, noble_mean_adjusted, parse_surd
 from .walk import (
     RuleEngine,
     ab_sequences,
+    ab_terms,
     brute_walk,
     discrepancy,
     lemma_checks,
@@ -113,22 +114,17 @@ def check_table1(bounds: Bounds) -> CheckResult:
 
 def check_kimberling_signs(bounds: Bounds) -> CheckResult:
     n = bounds.walk
-    spec = _spec("2sqrt2")
-    seqs = ab_sequences(spec, 2 * n + 64)
-    count = min(n, len(seqs.a), len(seqs.b))
-    a, b = seqs.a[:count], seqs.b[:count]
-    idx = np.arange(1, count + 1, dtype=np.int64)
+    seqs = ab_terms(_spec("2sqrt2"), n)
+    a, b = seqs.a, seqs.b
+    idx = np.arange(1, n + 1, dtype=np.int64)
     ok = bool((b - a > 0).all() and (a - 2 * idx < 0).all() and (b - 2 * idx >= 0).all())
-    return _result(
-        "walk.kimberling_signs", ok, f"b-a>0, a(n)<2n, b(n)>=2n for n<={count}"
-    )
+    return _result("walk.kimberling_signs", ok, f"b-a>0, a(n)<2n, b(n)>=2n for n<={n}")
 
 
 def check_diff_hits(bounds: Bounds) -> CheckResult:
-    spec = _spec("2sqrt2")
-    seqs = ab_sequences(spec, 2 * bounds.diff_bound + 64)
-    count = min(bounds.diff_bound, len(seqs.a), len(seqs.b))
-    d = seqs.b[:count] - seqs.a[:count]
+    count = bounds.diff_bound
+    seqs = ab_terms(_spec("2sqrt2"), count)
+    d = seqs.b - seqs.a
     lacking = []
     for k in range(1, bounds.diff_kmax + 1):
         hits = int((d == k).sum())
@@ -587,7 +583,7 @@ SUITES: dict[str, list] = {
 }
 
 
-def run_suite(suite: str, scale: str, inject_failure: str | None = None) -> list[CheckResult]:
+def run_suite(suite: str, scale: str) -> list[CheckResult]:
     if scale not in SCALES:
         raise ValueError(f"unknown scale {scale!r}")
     names = list(SUITES) if suite == "all" else [suite]
@@ -602,12 +598,5 @@ def run_suite(suite: str, scale: str, inject_failure: str | None = None) -> list
             except Exception as exc:  # a crashed check is a failed check
                 name = check.__name__.replace("check_", f"{suite_name}.")
                 result = CheckResult(name=name, ok=False, detail=f"{type(exc).__name__}: {exc}")
-            if inject_failure and result.name == inject_failure:
-                result = CheckResult(
-                    name=result.name,
-                    ok=False,
-                    detail="failure injected for harness self-test",
-                    conjectural=result.conjectural,
-                )
             results.append(result)
     return results

@@ -16,7 +16,7 @@ from walklab.automata import (
     run,
     to_dot,
 )
-from walklab.numeration import decode, encode, parse_digits
+from walklab.numeration import decode, encode, format_digits, parse_digits
 from walklab.qarith import cf_expand, parse_surd
 from walklab.walk import NotBrNumber, records, walk_spec, zeros
 
@@ -38,7 +38,7 @@ def record_dfa():
 
 
 def test_zero_dfa_examples(zero_dfa):
-    assert run(zero_dfa, [1, 0]) == ACCEPT  # n = 2
+    assert run(zero_dfa, [0, 1]) == ACCEPT  # n = 2
     assert run(zero_dfa, [1]) == REJECT  # n = 1, S_1 = 1
     assert run(zero_dfa, []) == ACCEPT  # n = 0
 
@@ -99,20 +99,17 @@ def test_equiv_oracle_detects_corruption(zero_dfa):
             s for s in range(zero_dfa.n_states) if s not in zero_dfa.accepting
         )
         - {zero_dfa.dead},
-        dead=zero_dfa.dead,
-        alphabet=zero_dfa.alphabet,
-        direction=zero_dfa.direction,
     )
     mismatch = equiv_oracle(corrupted, lambda n: n in zs, PELL, 200)
     assert mismatch is not None and mismatch.n == 0
 
 
 def test_direction_duality(zero_dfa):
+    # raw lsd digits, and the printed msd text parsed back, read as the word
     for n in (0, 2, 5, 14, 69, 70, 86, 100):
         word = encode(n, PELL)
-        msd_digits = list(word.msd())
-        assert run(zero_dfa, msd_digits, direction="msd") == run(zero_dfa, word)
-        assert run(zero_dfa, list(word.digits), direction="lsd") == run(zero_dfa, word)
+        assert run(zero_dfa, list(word.digits)) == run(zero_dfa, word)
+        assert run(zero_dfa, parse_digits(format_digits(word.digits))) == run(zero_dfa, word)
 
 
 def test_alphabet_mismatch(zero_dfa):
@@ -140,11 +137,13 @@ def test_totality_and_determinism(zero_dfa, record_dfa):
 
 def test_dfa_invariant_enforcement():
     with pytest.raises(ValueError):
-        DigitDfa(transitions=((0, 1), (1, 1)), accepting=frozenset({1}), dead=1,
-                 alphabet=2)  # accepting dead state
+        DigitDfa(transitions=((0, 1), (1, 1)), accepting=frozenset({1}))  # accepting dead state
     with pytest.raises(ValueError):
-        DigitDfa(transitions=((0, 1), (0, 1)), accepting=frozenset(), dead=1,
-                 alphabet=2)  # dead state does not absorb
+        DigitDfa(transitions=((0, 1), (0, 1)), accepting=frozenset())  # dead state does not absorb
+    with pytest.raises(ValueError):
+        DigitDfa(transitions=((0, 1), (1,)), accepting=frozenset())  # rows of different widths
+    with pytest.raises(ValueError):
+        DigitDfa(transitions=(), accepting=frozenset())  # no dead state
 
 
 # --- hand-written fixtures ---------------------------------------------------
@@ -152,7 +151,7 @@ def test_dfa_invariant_enforcement():
 
 def test_fixture_records_sqrt2():
     dfa = hardcoded_fixture("records_sqrt2")
-    assert run(dfa, parse_digits("1"), direction="lsd") == ACCEPT
+    assert run(dfa, parse_digits("1")) == ACCEPT
     for text, value in (("1", 1), ("11", 3), ("111", 8)):
         digits = [int(c) for c in text]
         assert run(dfa, digits) == ACCEPT
@@ -177,10 +176,28 @@ def test_fixture_records_2sqrt2():
 
 def test_fixture_zeros_2sqrt2():
     dfa = hardcoded_fixture("zeros_2sqrt2")
-    assert run(dfa, [2, 0, 2, 0]) == ACCEPT
+    assert run(dfa, [0, 2, 0, 2]) == ACCEPT
     assert decode(parse_digits("2020"), PELL) == 28
     zs = set(zeros(SPEC_2SQRT2, 3000))
     assert equiv_oracle(dfa, lambda n: n in zs, PELL, 3000) is None
+
+
+@pytest.mark.parametrize(
+    "name, printed",
+    [
+        ("records_sqrt2", r"1*"),
+        ("records_2sqrt2", r"((10)*1)?"),
+        ("zeros_2sqrt2", r"((10|20)(00|10|20)*)?"),
+    ],
+)
+def test_fixture_matches_printed_regex(name, printed):
+    # each lsd machine accepts exactly the words whose msd print matches
+    dfa = hardcoded_fixture(name)
+    language = re.compile(printed)
+    for n in range(3001):
+        word = encode(n, PELL)
+        text = format_digits(word.digits)
+        assert (run(dfa, word) == ACCEPT) == bool(language.fullmatch(text)), (name, n, text)
 
 
 def test_fixture_unknown_name():
@@ -226,12 +243,7 @@ def test_to_dot_fixture_two_live_accepting_states():
 
 
 def test_to_dot_empty_language():
-    dfa = DigitDfa(
-        transitions=((1, 1), (1, 1)),
-        accepting=frozenset(),
-        dead=1,
-        alphabet=2,
-    )
+    dfa = DigitDfa(transitions=((1, 1), (1, 1)), accepting=frozenset())
     nodes, _ = parse_dot(to_dot(dfa))
     assert all(shape == "circle" for shape in nodes.values())
 
@@ -240,15 +252,10 @@ def test_to_dot_stable(zero_dfa):
     assert to_dot(zero_dfa) == to_dot(build_zero_dfa(PELL))
 
 
-def test_to_dot_include_dead(zero_dfa):
-    nodes, _ = parse_dot(to_dot(zero_dfa, include_dead=True))
-    assert len(nodes) == zero_dfa.n_states
-
-
 GOLDEN_RECORDS_2SQRT2_DOT = """\
 digraph dfa {
   rankdir=LR;
-  // msd input, alphabet 0..2
+  // lsd input, alphabet 0..2
   start [shape=point, label=""];
   start -> s0;
   s0 [shape=doublecircle, label="0"];

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walklab import verify
 from walklab.cli import _int_rows, _pair_text, _series_text, main
 from walklab.numeration import encode, format_digits
 from walklab.qarith import cf_expand, parse_surd
@@ -264,12 +265,16 @@ def test_pair_text_csv_matches_fstrings(n):
     assert_same_text("".join(_pair_text(a, b, "csv", "ab")), expected)
 
 
-def cli_subprocess(*argv):
+def cli_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def cli_subprocess(*argv):
     proc = subprocess.run(
         [sys.executable, "-m", "walklab.cli", *argv],
-        capture_output=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+        capture_output=True, env=cli_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -297,6 +302,21 @@ def test_unwritable_output_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "cannot write output" in captured.err and "Traceback" not in captured.err
+
+
+def test_closed_pipe_exits_quietly():
+    # a reader that stops after two lines (`| head -2`) is not a usage error
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "walklab.cli", "walk", "--theta", "2sqrt2", "--n", "200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
+    )
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert head == [b"1 1\n", b"2 0\n"]
+    assert err == b""
 
 
 def test_walk_records_subcommand(capsys):
@@ -336,6 +356,45 @@ def test_dfa_build_table(capsys):
                         "sqrt2m1", "--out", "table")
     assert code == 0
     assert out.splitlines()[0].startswith("states ")
+
+
+@pytest.mark.parametrize(
+    "case, size, sha256",
+    [
+        ("zeros sqrt2m1 dot", 780,
+         "a4d3a9b297233b1bdd91b79e8af2734ac552f1bfedb785ea56a21a9a3d6b4018"),
+        ("zeros sqrt2m1 table", 153,
+         "d7d8e8d0b4bab2f003627c9dbf389204cef51c0e95c334b837aa7ea064f6d0ce"),
+        ("zeros sqrt2m1over2 dot", 772,
+         "5d068ffe04da4a2063d06420adf8a452eb3ae285449cea045b1ecb41f54d8d2a"),
+        ("zeros sqrt2m1over2 table", 189,
+         "c292cf605503b06771a79f362ee1df540a791d5147678e1ca508b22c9e857c75"),
+        ("zeros xi4 dot", 812,
+         "bb10233e9ed155c8dbd35f1b8994cef3dfe664e854f5e406f66d16a865d602f3"),
+        ("zeros xi4 table", 189,
+         "98d93c7a4dbbf7b20709ad83c3e0ed69be7dfaa675bd58a5f760930ea0638009"),
+        ("records sqrt2m1 dot", 890,
+         "20d79f7b2f50d99cc5dd0ae38cf119323303007bbd44f92ae07fa676525f926c"),
+        ("records sqrt2m1 table", 166,
+         "c9872220d3074f57899c3ab62351dcff15141935fa634442aa7e9c497a2b4002"),
+        ("records sqrt2m1over2 dot", 986,
+         "8541deccc7211ebcd70762936713b47d44e86c6ba94dcae856322f72acaf0853"),
+        ("records sqrt2m1over2 table", 249,
+         "5ef0d4ba263b8790dddafc84b2d24a16d2e3e366d03799deca40e7625eecf9ec"),
+        ("records xi4 dot", 1082,
+         "aed005cd91f637c182a8dcf0ad1a2deb17a207ddf815b4b7d27deb036d9f3f46"),
+        ("records xi4 table", 234,
+         "6deccd289a3ac2bc40b796c3911d116e2e146c38b176aa4e91cc5607eb46f309"),
+    ],
+)
+def test_dfa_build_pinned(capsys, case, size, sha256):
+    # bytes of the DOT and table text, pinned when machines still carried
+    # their digit order and start state as fields
+    kind, base, out = case.split()
+    code, text = run_cli(capsys, "dfa", "build", "--kind", kind, "--base", base, "--out", out)
+    assert code == 0
+    assert len(text) == size
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 def test_subst_emits(capsys):
@@ -403,9 +462,23 @@ def test_verify_single_suite(capsys):
     assert "conjectural: pass" in out  # the sqrt3 system is reported, not asserted
 
 
-def test_verify_injected_failure_names_check(capsys):
-    code, out = run_cli(capsys, "verify", "--suite", "recurrences", "--scale", "quick",
-                        "--inject-failure", "recurrences.halfpell")
+@pytest.mark.parametrize("suite", ["automata", "walk"])
+def test_verify_suite_passes(capsys, suite):
+    code, out = run_cli(capsys, "verify", "--suite", suite, "--scale", "quick")
+    *lines, summary = out.splitlines()
+    assert code == 0 and summary.endswith("0 failed (scale=quick)")
+    assert lines and all(line.startswith("pass ") for line in lines), out
+
+
+def test_verify_injected_failure_names_check(capsys, monkeypatch):
+    def check_halfpell(bounds):
+        return verify.CheckResult(name="recurrences.halfpell", ok=False, detail="injected")
+
+    checks = [
+        check_halfpell if c is verify.check_halfpell else c for c in verify.SUITES["recurrences"]
+    ]
+    monkeypatch.setitem(verify.SUITES, "recurrences", checks)
+    code, out = run_cli(capsys, "verify", "--suite", "recurrences", "--scale", "quick")
     assert code == 1
     assert "first failure: recurrences.halfpell" in out
 

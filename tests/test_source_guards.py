@@ -71,3 +71,19 @@ def test_no_floats_in_package():
             if hit:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"float arithmetic in walklab: {found}"
+
+
+def test_no_print_in_package():
+    # diagnostics never go into the sequence output: all CLI text is written
+    # by cli._emit, to stdout or the -o file, and nothing else prints
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "print"
+        ]
+    assert not found, f"print calls in walklab: {found}"
