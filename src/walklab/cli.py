@@ -174,15 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_format(p)
 
-    p = sub.add_parser("records", help="record indices up to step n")
-    p.add_argument("--theta", type=_surd_arg, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_format(p)
-
-    p = sub.add_parser("zeros", help="zero indices up to step n")
-    p.add_argument("--theta", type=_surd_arg, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_format(p)
+    # records and zeros are walk --emit records|zeros under their own names
+    for emit, what in (("records", "record"), ("zeros", "zero")):
+        p = sub.add_parser(emit, help=f"{what} indices up to step n")
+        p.add_argument("--theta", type=_surd_arg, required=True)
+        p.add_argument("--n", type=int, required=True)
+        _add_format(p)
+        p.set_defaults(emit=emit)
 
     p = sub.add_parser("encode", help="integer -> digit word")
     p.add_argument("--base", type=_surd_arg, required=True)
@@ -211,8 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("recur", help="record recurrence generators")
-    p.add_argument("--name", choices=sorted(recurrences.GENERATORS), required=True)
-    p.add_argument("--n", type=int, required=True, help="number of terms")
+    p.add_argument("--name", choices=sorted(recurrences.RECURRENCES), required=True)
+    last = "last index n (terms from each row's first index through n)"
+    p.add_argument("--n", type=int, required=True, help=last)
     _add_format(p)
 
     p = sub.add_parser("discrepancy", help="scaled interval discrepancy k*D_n")
@@ -316,12 +315,8 @@ def _run(argv) -> int:
         if args.command == "seq":
             seqs = ab_terms(walk_spec(args.theta), args.n)
             text = _series_text(seqs.a if args.which == "a" else seqs.b, args.format, args.which)
-        elif args.command == "walk":
+        elif args.command in ("walk", "records", "zeros"):
             text = _run_walk(args)
-        elif args.command == "records":
-            text = _series_text(records(walk_spec(args.theta), args.n), args.format, "records")
-        elif args.command == "zeros":
-            text = _series_text(zeros(walk_spec(args.theta), args.n), args.format, "zeros")
         elif args.command == "encode":
             base = cf_expand(args.base)
             word = encode(args.n, base)

@@ -81,9 +81,6 @@ class OstrowskiWord:
     def __len__(self) -> int:
         return len(self.digits)
 
-    def msd(self) -> tuple[int, ...]:
-        return tuple(reversed(self.digits))
-
     def __str__(self) -> str:
         return format_digits(self.digits, msd=True, alphabet=alphabet_size(self.base))
 

@@ -45,12 +45,13 @@ def _squarefree_split(d: int) -> tuple[int, int]:
 
 
 def isqrt_floor(b: int, d: int) -> int:
-    """Exact floor(b*sqrt(d)) for integer b and non-square d >= 2."""
+    """Exact floor(b*sqrt(d)) for integer b and any non-square d >= 2,
+    squarefree or not."""
     if b == 0:
         return 0
     r = math.isqrt(b * b * d)
-    # b*b*d is never a perfect square (d squarefree > 1), so for negative b
-    # the floor sits one below the negated truncation.
+    # b*b*d is never a perfect square (d is not one and b != 0), so for
+    # negative b the floor sits one below the negated truncation.
     return r if b > 0 else -r - 1
 
 
@@ -222,14 +223,6 @@ def floor_scaled(j: int, xi: QuadraticSurd) -> int:
 _MAX_CF_TERMS = 10**5  # a period this long means a bug, not a surd
 
 
-def _floor_pdq(p: int, dd: int, q: int) -> int:
-    """floor((p + sqrt(dd)) / q) for non-square dd, q != 0 of either sign."""
-    r = math.isqrt(dd)
-    if q > 0:
-        return (p + r) // q
-    return (-p - r - 1) // (-q)
-
-
 class ContinuedFraction:
     """Eventually periodic continued fraction with exact convergents.
 
@@ -340,7 +333,9 @@ def cf_expand(xi: QuadraticSurd) -> ContinuedFraction:
             k = seen[key]
             return ContinuedFraction(quotients[:k], quotients[k:])
         seen[key] = len(quotients)
-        ai = _floor_pdq(p, dd, q)
+        # floor((p + sqrt(dd)) / q) for q of either sign: dd is never a square
+        s = 1 if q > 0 else -1
+        ai = (s * p + isqrt_floor(s, dd)) // (s * q)
         quotients.append(ai)
         p = ai * q - p
         q = (dd - p * p) // q

@@ -1,94 +1,79 @@
-"""Closed-form recurrence generators for walk records.
+"""Record recurrences as data: rows of one table, run by one loop.
 
-Each generator mirrors a stated recurrence exactly; none of them consults
-the walk engine, so the test suite can cross-validate the two routes
-independently. The sqrt(3) system is experimental: it reproduces the walk's
-records as far as anyone has looked, but is verified empirically, never
-assumed.
+A row states its recurrence exactly: X_k = c_1 X_{k-1} + ... + c_r X_{k-r} + e,
+with the rule (c, e) picked by k mod the number of rules, so one rule is a
+constant-coefficient recurrence and several make a periodic system. No row
+consults the walk engine, so the test suite can cross-validate the two
+routes independently. The sqrt(3) system is experimental: it reproduces
+the walk's records as far as anyone has looked, but is verified
+empirically, never assumed.
 """
 
 from __future__ import annotations
 
-
-def lune_records(n: int) -> list[int]:
-    """R_0..R_n with R_{k+1} = 2 R_k + R_{k-1} + 1, R_0 = 0, R_1 = 1.
-
-    These are the record indices of the sqrt(2) walk; consecutive record
-    values alternate in sign.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    terms = [0, 1]
-    while len(terms) <= n:
-        terms.append(2 * terms[-1] + terms[-2] + 1)
-    return terms[: n + 1]
+from typing import NamedTuple
 
 
-def kotesovec(n: int, side: str) -> list[int]:
-    """First indices where the sqrt(2) walk reaches +m (side A) or -m (side B).
-
-    Both sides satisfy X_{k+1} = 6 X_k - X_{k-1} + 2; A starts 0, 3 and
-    B starts 0, 1.
-    """
-    starts = {"A": (0, 3), "B": (0, 1)}
-    if side not in starts:
-        raise ValueError(f"side must be A or B, got {side!r}")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    terms = list(starts[side])
-    while len(terms) <= n:
-        terms.append(6 * terms[-1] - terms[-2] + 2)
-    return terms[: n + 1]
+class Recurrence(NamedTuple):
+    first: int  # index of the first printed term, >= start
+    start: int  # index of initial[0]
+    initial: tuple[int, ...]  # at least as many terms as the longest rule reads
+    rules: tuple[tuple[tuple[int, ...], int], ...]  # (c_1..c_r, e), by k mod len(rules)
 
 
-def half_pell(n: int) -> list[int]:
-    """Q_1..Q_n: half the even-indexed Pell numbers, Q_{k+1} = 6 Q_k - Q_{k-1}.
-
-    Record indices of the 2*sqrt(2) walk (1, 6, 35, 204, ...).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    terms = [1, 6]
-    while len(terms) < n:
-        terms.append(6 * terms[-1] - terms[-2])
-    return terms[:n]
-
-
-def sqrt3_records(n: int) -> list[int]:
-    """t_1..t_n from the four-step system conjectured for sqrt(3) records.
-
-        t_{4k+1} = 2 t_{4k}   + t_{4k-1} + 1
-        t_{4k+2} =   t_{4k+1} + 2 t_{4k} + 1
-        t_{4k+3} =   t_{4k+2} + 2 t_{4k} + 1
-        t_{4k+4} = 2 t_{4k+3} + t_{4k}   + 1
-
-    with t_j = 0 for j <= 0.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    t = {0: 0, -1: 0}
-    j = 0
-    while j < n:
-        base = t[j]
-        prev = t[j - 1]
-        t[j + 1] = 2 * base + prev + 1
-        t[j + 2] = t[j + 1] + 2 * base + 1
-        t[j + 3] = t[j + 2] + 2 * base + 1
-        t[j + 4] = 2 * t[j + 3] + base + 1
-        j += 4
-    return [t[i] for i in range(1, n + 1)]
-
-
-GENERATORS = {
-    "lune": lambda n: lune_records(n),
-    "kotesovecA": lambda n: kotesovec(n, "A"),
-    "kotesovecB": lambda n: kotesovec(n, "B"),
-    "halfpell": lambda n: half_pell(n),
-    "sqrt3": lambda n: sqrt3_records(n),
+RECURRENCES = {
+    # Van de Lune's R_k, the record indices of the sqrt(2) walk, whose
+    # consecutive record values alternate in sign
+    "lune": Recurrence(0, 0, (0, 1), (((2, 1), 1),)),
+    # Kotesovec: first index where the sqrt(2) walk reaches +m (A) or -m (B)
+    "kotesovecA": Recurrence(0, 0, (0, 3), (((6, -1), 2),)),
+    "kotesovecB": Recurrence(0, 0, (0, 1), (((6, -1), 2),)),
+    # half the even-indexed Pell numbers, the records of the 2*sqrt(2) walk
+    "halfpell": Recurrence(1, 1, (1, 6), (((6, -1), 0),)),
+    # the four-step system conjectured for sqrt(3) records, t_j = 0 for j <= 0:
+    #   t_{4k+1} = 2 t_{4k} + t_{4k-1} + 1      t_{4k+2} = t_{4k+1} + 2 t_{4k} + 1
+    #   t_{4k+3} = t_{4k+2} + 2 t_{4k} + 1      t_{4k+4} = 2 t_{4k+3} + t_{4k} + 1
+    "sqrt3": Recurrence(
+        1, -3, (0, 0, 0, 0), (((2, 0, 0, 1), 1), ((2, 1), 1), ((1, 2), 1), ((1, 0, 2), 1))
+    ),
 }
 
 
 def generate(name: str, n: int) -> list[int]:
-    if name not in GENERATORS:
+    """X_first..X_n of the named row of RECURRENCES."""
+    if name not in RECURRENCES:
         raise ValueError(f"unknown recurrence {name!r}")
-    return GENERATORS[name](n)
+    row = RECURRENCES[name]
+    if n < row.first:
+        raise ValueError(f"n must be >= {row.first}")
+    # a rule as its nonzero (-lag, coefficient) pairs: one multiply-add per term
+    steps = [([(-lag, c) for lag, c in enumerate(cs, 1) if c], e) for cs, e in row.rules]
+    terms = list(row.initial)
+    for k in range(row.start + len(terms), n + 1):
+        pairs, x = steps[k % len(steps)]
+        for lag, c in pairs:
+            x += c * terms[lag]
+        terms.append(x)
+    return terms[row.first - row.start : n - row.start + 1]
+
+
+def lune_records(n: int) -> list[int]:
+    """R_0..R_n: 0, 1, 3, 8, 20, ..."""
+    return generate("lune", n)
+
+
+def kotesovec(n: int, side: str) -> list[int]:
+    """X_0..X_n of side A (0, 3, 20, ...) or B (0, 1, 8, ...)."""
+    if side not in ("A", "B"):
+        raise ValueError(f"side must be A or B, got {side!r}")
+    return generate("kotesovec" + side, n)
+
+
+def half_pell(n: int) -> list[int]:
+    """Q_1..Q_n: 1, 6, 35, 204, ..."""
+    return generate("halfpell", n)
+
+
+def sqrt3_records(n: int) -> list[int]:
+    """t_1..t_n: 1, 2, 3, 7, 18, ..."""
+    return generate("sqrt3", n)

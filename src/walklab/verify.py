@@ -425,19 +425,16 @@ def check_subst_fidelity(bounds: Bounds) -> CheckResult:
 
     length = bounds.subst_prefix
     problems = []
-    for m in (2, 4):
-        sub = substitution.noble_substitution(m)
+    for label, sub, m in (
+        ("m=2", substitution.noble_substitution(2), 2),
+        ("m=4", substitution.noble_substitution(4), 4),
+        ("golden", substitution.golden_substitution(), 1),
+    ):
         coded = sub.code(substitution.fixed_point(sub, "a", length))
         xi = noble_mean_adjusted(m)
         oracle = "".join(str(half_indicator(xi, n)) for n in range(length))
         if coded != oracle:
-            problems.append(f"m={m}: coded fixed point differs from rotation indicator")
-    sub = substitution.golden_substitution()
-    coded = sub.code(substitution.fixed_point(sub, "a", length))
-    xi = noble_mean_adjusted(1)
-    oracle = "".join(str(half_indicator(xi, n)) for n in range(length))
-    if coded != oracle:
-        problems.append("golden: coded fixed point differs from rotation indicator")
+            problems.append(f"{label}: coded fixed point differs from rotation indicator")
     return _result(
         "substitution.fidelity",
         not problems,

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from walklab import automata, recurrences, substitution
-from walklab.numeration import decode, encode, validate
+from walklab.numeration import decode, encode, format_digits, validate
 from walklab.qarith import cf_expand, noble_mean_adjusted, parse_surd
 from walklab.walk import (
     RuleEngine,
@@ -130,7 +130,7 @@ def test_criterion_07_zeros_language():
     base = cf_expand(parse_surd("sqrt2m1"))
     zero_list = zeros(spec, bound)
     language = re.compile(r"^((10|20)(00|10|20)*)?$")
-    encodings = {n: "".join(map(str, encode(n, base).msd())) for n in range(bound + 1)}
+    encodings = {n: format_digits(encode(n, base).digits) for n in range(bound + 1)}
     in_language = {n for n, w in encodings.items() if language.match(w)}
     ok = in_language == set(zero_list)
     dfa = automata.build_zero_dfa(base)

@@ -69,7 +69,7 @@ def test_record_dfa_half_base_first_record():
 def test_zero_language_regular_expression(zero_dfa):
     language = re.compile(r"^((10|20)(00|10|20)*)?$")
     for n in range(3000):
-        word = "".join(map(str, encode(n, PELL).msd()))
+        word = format_digits(encode(n, PELL).digits)
         verdict = run(zero_dfa, encode(n, PELL))
         assert (verdict == ACCEPT) == bool(language.match(word)), (n, word)
 

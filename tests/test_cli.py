@@ -338,6 +338,29 @@ def test_recur_bfile(capsys):
     assert code == 0 and out == "1 1\n2 2\n3 3\n4 7\n5 18\n"
 
 
+# recur output as printed before the generators became rows of one table:
+# [name, format, n, size, sha256] for n = the row's first index, 7, 40, 300
+RECUR_PINS = json.loads((Path(__file__).parent / "fixtures" / "recur_pins.json").read_text())
+
+
+@pytest.mark.parametrize("name, fmt, n, size, sha256", RECUR_PINS)
+def test_recur_pinned(capsys, name, fmt, n, size, sha256):
+    code, out = run_cli(capsys, "recur", "--name", name, "--n", str(n), "--format", fmt)
+    data = out.encode()
+    assert code == 0
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, sha256)
+
+
+@pytest.mark.parametrize("name, first", [("halfpell", 1), ("kotesovecA", 0), ("kotesovecB", 0),
+                                         ("lune", 0), ("sqrt3", 1)])
+def test_recur_before_first_index_exit_2(capsys, name, first):
+    with pytest.raises(SystemExit) as err:
+        main(["recur", "--name", name, "--n", str(first - 1)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"n must be >= {first}" in captured.err
+
+
 def test_discrepancy(capsys):
     code, out = run_cli(capsys, "discrepancy", "--xi", "sqrt2m1", "--endpoint", "1/2",
                         "--n", "4", "--format", "plain")

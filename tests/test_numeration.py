@@ -231,7 +231,7 @@ def test_uniqueness_exhaustive():
 def test_order_compatible_with_value():
     bound = 10**4
     for base in (PELL, SQRT3_HALF):
-        words = [encode(n, base).msd() for n in range(bound + 1)]
+        words = [tuple(reversed(encode(n, base).digits)) for n in range(bound + 1)]
         width = max(len(w) for w in words)
         padded = [(0,) * (width - len(w)) + w for w in words]
         assert padded == sorted(padded)

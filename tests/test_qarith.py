@@ -388,6 +388,24 @@ def test_cf_expand_random_surds(a, b, d, c):
         assert -1 < delta < 1
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=-500, max_value=500),
+    st.integers(min_value=-12, max_value=12).filter(lambda b: b != 0),
+    st.sampled_from([2, 3, 5, 6, 7, 8, 12, 18]),
+    st.integers(min_value=-30, max_value=30).filter(lambda c: c != 0),
+)
+def test_cf_expand_floor_and_alternation(a, b, d, c):
+    # the CF state floor((p + sqrt(dd)) / q) runs with q of either sign and
+    # dd = b^2 d g^2 far from squarefree; its first quotient is the surd's
+    # floor and its convergents p_n/q_n lie below x for even n, above for odd n
+    xi = QuadraticSurd(a, b, d, c)
+    cf = cf_expand(xi)
+    assert cf.quotient(0) == xi.floor()
+    for n, (p, q) in enumerate(_convergents(cf, 12)):
+        assert (xi * q > p) if n % 2 == 0 else (xi * q < p)
+
+
 def test_invalid_cf_construction():
     with pytest.raises(ValueError):
         ContinuedFraction([0], [])

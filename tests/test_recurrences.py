@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walklab.qarith import cf_expand, parse_surd
 from walklab.recurrences import (
+    RECURRENCES,
+    Recurrence,
     generate,
     half_pell,
     kotesovec,
@@ -97,8 +101,65 @@ def test_sqrt3_against_walk_is_consistent_so_far():
 def test_generate_dispatch():
     assert generate("halfpell", 4) == [1, 6, 35, 204]
     assert generate("lune", 3) == lune_records(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown recurrence"):
         generate("fibonacci", 3)
+
+
+def test_generate_before_first_index():
+    for name, row in RECURRENCES.items():
+        assert len(generate(name, row.first)) == 1
+        with pytest.raises(ValueError, match=f"n must be >= {row.first}"):
+            generate(name, row.first - 1)
+
+
+def test_table_rows_as_stated():
+    assert RECURRENCES["lune"] == Recurrence(0, 0, (0, 1), (((2, 1), 1),))
+    assert RECURRENCES["kotesovecA"] == Recurrence(0, 0, (0, 3), (((6, -1), 2),))
+    assert RECURRENCES["kotesovecB"] == Recurrence(0, 0, (0, 1), (((6, -1), 2),))
+    assert RECURRENCES["halfpell"] == Recurrence(1, 1, (1, 6), (((6, -1), 0),))
+    rules = (((2, 0, 0, 1), 1), ((2, 1), 1), ((1, 2), 1), ((1, 0, 2), 1))
+    assert RECURRENCES["sqrt3"] == Recurrence(1, -3, (0, 0, 0, 0), rules)
+
+
+def _stated_holds(name: str, x: dict[int, int], k: int) -> bool:
+    """The recurrence for X_k as the literature states it, apart from the table."""
+    if name == "lune":
+        return x[k] == 2 * x[k - 1] + x[k - 2] + 1
+    if name in ("kotesovecA", "kotesovecB"):
+        return x[k] == 6 * x[k - 1] - x[k - 2] + 2
+    if name == "halfpell":
+        return x[k] == 6 * x[k - 1] - x[k - 2]
+    j = 4 * ((k - 1) // 4)  # t_{j+1..j+4} hang off t_j, t_{j-1} and each other
+    if k == j + 1:
+        return x[k] == 2 * x[j] + x[j - 1] + 1
+    if k == j + 2:
+        return x[k] == x[j + 1] + 2 * x[j] + 1
+    if k == j + 3:
+        return x[k] == x[j + 2] + 2 * x[j] + 1
+    return x[k] == 2 * x[j + 3] + x[j] + 1
+
+
+SEEDS = {
+    "lune": {0: 0, 1: 1},
+    "kotesovecA": {0: 0, 1: 3},
+    "kotesovecB": {0: 0, 1: 1},
+    "halfpell": {1: 1, 2: 6},
+    "sqrt3": {0: 0, -1: 0},
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(SEEDS)), st.integers(min_value=0, max_value=300))
+def test_rows_satisfy_stated_recurrences(name, n):
+    first = 1 if name in ("halfpell", "sqrt3") else 0
+    n = max(n, first)
+    terms = generate(name, n)
+    assert len(terms) == n - first + 1
+    x = dict(SEEDS[name])  # the stated initial terms; sqrt3's are t_0 = t_{-1} = 0
+    for k, v in enumerate(terms, start=first):
+        assert x.setdefault(k, v) == v, (name, k)
+    for k in range(max(SEEDS[name]) + 1, n + 1):
+        assert _stated_holds(name, x, k), (name, k)
 
 
 def test_terms_satisfy_rules_deep():
