@@ -91,21 +91,17 @@ def run(dfa: DigitDfa, word: OstrowskiWord | Sequence[int]) -> str:
 
 
 def _digit_stream(cf: ContinuedFraction) -> tuple[list[int], int]:
-    """Quotient caps a_{i+1} per digit position, unrolled so that looping the
-    tail keeps both the cap and the position parity consistent.
+    """Quotient caps a_{p+1} per digit position p, unrolled through one
+    `cycle()` so that looping the tail repeats both cap and position parity.
 
     Position 0 is special (its digit is capped strictly below a_1), so the
-    loop target is at least 1. The loop length is doubled for odd periods to
-    keep position parity well defined across the wrap.
+    loop target is at least 1.
 
     Returns (caps for positions 0..P-1, loop target position).
     """
-    unroll = max(len(cf.preperiod) - 1, 1)
-    loop_len = len(cf.period)
-    if loop_len % 2:
-        loop_len *= 2
-    caps = [cf.quotient(p + 1) for p in range(unroll + loop_len)]
-    return caps, unroll
+    start, length = cf.cycle()
+    unroll = max(start - 1, 1)
+    return [cf.quotient(p + 1) for p in range(unroll + length)], unroll
 
 
 class _Builder:

@@ -158,9 +158,10 @@ def pell_number(n: int) -> int:
 
 
 def alphabet_size(base: ContinuedFraction) -> int:
-    """Largest digit + 1 over the base (a full period of quotient caps)."""
-    horizon = len(base.preperiod) + 2 * len(base.period) + 1
-    return max(base.quotient(i) for i in range(1, horizon + 1)) + 1
+    """Largest digit + 1 over the base: the largest quotient cap a_i, i >= 1,
+    read through one `cycle()` past the preperiod."""
+    start, length = base.cycle()
+    return max(base.quotient(i) for i in range(1, start + length + 1)) + 1
 
 
 def format_digits(digits: Sequence[int], msd: bool = True, alphabet: int | None = None) -> str:

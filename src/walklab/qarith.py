@@ -220,14 +220,14 @@ def floor_scaled(j: int, xi: QuadraticSurd) -> int:
 
 # --- continued fractions ----------------------------------------------
 
-_MAX_CF_TERMS = 10**5  # a period this long means a bug, not a surd
+_MAX_CF_TERMS = 10**5  # longest period cf_expand searches for; legal surds can exceed it
 
 
 class ContinuedFraction:
-    """Eventually periodic continued fraction with exact convergents.
+    """Eventually periodic continued fraction: its quotients and denominators.
 
-    One cache holds a_n, p_n and q_n side by side; `_extend` is the only
-    place it grows, on demand.
+    One cache holds a_n and q_n side by side; `_extend` is the only place it
+    grows, on demand.
     """
 
     def __init__(self, preperiod, period):
@@ -239,7 +239,6 @@ class ContinuedFraction:
             if q < 1:
                 raise ValueError(f"partial quotient #{i + 1} is {q} < 1")
         self._a: list[int] = []  # cached a_n
-        self._p: list[int] = []  # cached p_n
         self._q: list[int] = []  # cached q_n, nondecreasing
 
     def quotient(self, i: int) -> int:
@@ -248,28 +247,27 @@ class ContinuedFraction:
             return self.preperiod[i]
         return self.period[(i - len(self.preperiod)) % len(self.period)]
 
+    def cycle(self) -> tuple[int, int]:
+        """(start, length): a_{i+length} = a_i for every i >= start, and
+        length is the period doubled when odd, so index parity repeats too."""
+        length = len(self.period)
+        return len(self.preperiod), length * (1 + length % 2)
+
     def _extend(self, n: int, bound: int = -1) -> None:
         """Grow the cache through index n, and on until the last q exceeds bound."""
-        a, p, q = self._a, self._p, self._q
+        a, q = self._a, self._q
         i = len(q)
         if i > n and (bound < 0 or q[-1] > bound):
             return
-        # p_{-1}/q_{-1} = 1/0 and p_{-2}/q_{-2} = 0/1 seed the recurrence
-        p2, p1 = ([0, 1] + p[-2:])[-2:]
+        # q_{-1} = 0 and q_{-2} = 1 seed the recurrence
         q2, q1 = ([1, 0] + q[-2:])[-2:]
         pre, period = self.preperiod, self.period
         while i <= n or q1 <= bound:
             ai = pre[i] if i < len(pre) else period[(i - len(pre)) % len(period)]
-            p1, p2 = ai * p1 + p2, p1
             q1, q2 = ai * q1 + q2, q1
             a.append(ai)
-            p.append(p1)
             q.append(q1)
             i += 1
-
-    def denominator(self, n: int) -> int:
-        self._extend(n)
-        return self._q[n]
 
     def quotients_through(self, n: int) -> list[int]:
         """The cached a_0, a_1, ..., grown through a_n.
@@ -315,7 +313,8 @@ def cf_expand(xi: QuadraticSurd) -> ContinuedFraction:
     """Continued fraction of a quadratic surd with exact period detection.
 
     Runs the classical (P + sqrt(D))/Q state recurrence; the state space is
-    finite, so the first repeated state closes the minimal period.
+    finite, so the first repeated state closes the minimal period. Raises
+    ValueError when no state repeats within _MAX_CF_TERMS quotients.
     """
     if xi.b > 0:
         p, dd, q = xi.a, xi.b * xi.b * xi.d, xi.c
@@ -339,7 +338,9 @@ def cf_expand(xi: QuadraticSurd) -> ContinuedFraction:
         quotients.append(ai)
         p = ai * q - p
         q = (dd - p * p) // q
-    raise RuntimeError("period not found (state bound exceeded)")
+    raise ValueError(
+        f"continued fraction of {xi} does not repeat within {_MAX_CF_TERMS} terms"
+    )
 
 
 def is_br(cf: ContinuedFraction) -> bool:
@@ -347,11 +348,11 @@ def is_br(cf: ContinuedFraction) -> bool:
 
     Equivalent to all odd-indexed convergent denominators q_{2n+1} being
     even; exactly the rotation numbers whose doubled walk stays nonnegative.
-    Two periods are scanned so both parities of the period alignment are
-    covered when the period length is odd.
+    The indices through one `cycle()` past the preperiod cover every
+    (quotient, parity) pair that recurs.
     """
-    horizon = len(cf.preperiod) + 2 * len(cf.period)
-    return all(cf.quotient(i) % 2 == 0 for i in range(1, horizon + 1, 2))
+    start, length = cf.cycle()
+    return all(cf.quotient(i) % 2 == 0 for i in range(1, start + length, 2))
 
 
 # --- literals ----------------------------------------------------------

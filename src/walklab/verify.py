@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import automata, recurrences, substitution
-from .numeration import decode, encode, format_digits, parse_digits
+from .numeration import decode, encode, format_digits, parse_digits, validate
 from .qarith import cf_expand, noble_mean_adjusted, parse_surd
 from .walk import (
     RuleEngine,
@@ -29,6 +29,7 @@ from .walk import (
     ab_terms,
     brute_walk,
     discrepancy,
+    half_indicator,
     lemma_checks,
     records,
     walk_spec,
@@ -393,8 +394,6 @@ def check_numeration(bounds: Bounds) -> CheckResult:
 
 def _uniqueness_violations(base, bound: int):
     """Exhaustively count valid expansions per value; returns first duplicate."""
-    from .numeration import validate
-
     dens = base.denominators_up_to(bound)
     counts = np.zeros(bound + 1, dtype=np.int32)
 
@@ -421,8 +420,6 @@ def _uniqueness_violations(base, bound: int):
 
 
 def check_subst_fidelity(bounds: Bounds) -> CheckResult:
-    from .walk import half_indicator
-
     length = bounds.subst_prefix
     problems = []
     for label, sub, m in (

@@ -372,13 +372,9 @@ def lemma_checks(spec: WalkSpec, depth: int) -> LemmaReport:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    evens = []
-    for i in range(8 * depth + 64):
-        if len(evens) == depth:
-            break
-        q = spec.cf.denominator(i)
-        if q % 2 == 0:
-            evens.append(q)
+    horizon = 8 * depth + 64
+    dens = spec.cf.denominators_through(horizon - 1)[:horizon]
+    evens = [q for q in dens if q % 2 == 0][:depth]
     if len(evens) < depth:
         raise ValueError(
             f"only {len(evens)} even denominators found; rotation {spec.rotation} "

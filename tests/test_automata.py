@@ -1,3 +1,7 @@
+import contextlib
+import hashlib
+import io
+import random
 import re
 
 import pytest
@@ -13,11 +17,13 @@ from walklab.automata import (
     build_zero_dfa,
     equiv_oracle,
     hardcoded_fixture,
+    _digit_stream,
     run,
     to_dot,
 )
-from walklab.numeration import decode, encode, format_digits, parse_digits
-from walklab.qarith import cf_expand, parse_surd
+from walklab.cli import main
+from walklab.numeration import alphabet_size, decode, encode, format_digits, parse_digits
+from walklab.qarith import NotIrrational, QuadraticSurd, cf_expand, is_br, parse_surd
 from walklab.walk import NotBrNumber, records, walk_spec, zeros
 
 PELL = cf_expand(parse_surd("sqrt2m1"))
@@ -276,3 +282,76 @@ digraph dfa {
 def test_to_dot_golden_text():
     # byte-exact under the fixed state numbering
     assert to_dot(hardcoded_fixture("records_2sqrt2")) == GOLDEN_RECORDS_2SQRT2_DOT
+
+
+# --- the period horizon ---------------------------------------------------------
+
+
+def _surd_sweep(count, seed):
+    """`count` seeded random surds (a + b*sqrt(d))/c, a, b and c of either sign."""
+    rng = random.Random(seed)
+    nonzero = [i for i in range(-30, 31) if i]
+    out = []
+    while len(out) < count:
+        a, b, d, c = (
+            rng.randint(-60, 60), rng.choice(nonzero[20:-20]), rng.randint(2, 40),
+            rng.choice(nonzero),
+        )
+        try:
+            out.append(QuadraticSurd(a, b, d, c))
+        except NotIrrational:
+            continue
+    return out
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    return [(xi, cf_expand(xi)) for xi in _surd_sweep(2000, 2021)]
+
+
+def _is_br_two_periods(cf):
+    horizon = len(cf.preperiod) + 2 * len(cf.period)
+    return all(cf.quotient(i) % 2 == 0 for i in range(1, horizon + 1, 2))
+
+
+def _alphabet_two_periods(cf):
+    horizon = len(cf.preperiod) + 2 * len(cf.period) + 1
+    return max(cf.quotient(i) for i in range(1, horizon + 1)) + 1
+
+
+def _digit_stream_unrolled(cf):
+    unroll = max(len(cf.preperiod) - 1, 1)
+    loop_len = len(cf.period) * (2 if len(cf.period) % 2 else 1)
+    return [cf.quotient(p + 1) for p in range(unroll + loop_len)], unroll
+
+
+def test_horizon_readers_match_two_period_formulas(sweep):
+    # is_br, alphabet_size and _digit_stream read cycle(); each agrees with a
+    # restatement that reads the preperiod plus two periods on its own
+    for xi, cf in sweep:
+        assert is_br(cf) == _is_br_two_periods(cf), xi
+        assert alphabet_size(cf) == _alphabet_two_periods(cf), xi
+        assert _digit_stream(cf) == _digit_stream_unrolled(cf), xi
+
+
+def _literal(xi):
+    return f"({xi.a}{'+' if xi.b > 0 else '-'}{abs(xi.b)}*sqrt({xi.d}))/{xi.c}"
+
+
+def test_dfa_build_text_pinned_over_the_sweep(sweep):
+    # `dfa build` DOT and table text of both kinds for every BR surd of the
+    # sweep, concatenated and hashed
+    br = [xi for xi, cf in sweep if is_br(cf)]
+    digest = hashlib.sha256()
+    for xi in br:
+        for kind in ("zeros", "records"):
+            for out in ("dot", "table"):
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    assert main(["dfa", "build", "--kind", kind, "--base", _literal(xi),
+                                 "--out", out]) == 0
+                digest.update(buf.getvalue().encode())
+    assert len(br) == 48
+    assert digest.hexdigest() == (
+        "c1348e72a3ce520dfaf3d491bfae22199f9cbe0048d1773f6a0c78009b967bb0"
+    )

@@ -304,6 +304,22 @@ def test_unwritable_output_exit_2(tmp_path, capsys):
     assert "cannot write output" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["encode", "--base", "(1+1000*sqrt(7))/997", "5"],
+    ["walk", "--theta", "(1+1000*sqrt(7))/997", "--n", "5"],
+])
+def test_period_past_the_term_bound_exit_2(argv, capsys):
+    # the surd is legal, but its continued fraction does not repeat within
+    # the 10^5 terms cf_expand searches: a usage error, not a traceback
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "does not repeat within 100000 terms" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_closed_pipe_exits_quietly():
     # a reader that stops after two lines (`| head -2`) is not a usage error
     proc = subprocess.Popen(

@@ -131,25 +131,30 @@ def test_canonical_word_rejects_trailing_zero():
     assert str(raised.value) == "most-significant digit is zero (non-canonical)"
 
 
+def denominator(base, i):
+    """q_i, one index at a time."""
+    return base.denominators_through(i)[i]
+
+
 def reference_digits(n, base):
-    """Greedy expansion one digit at a time from quotient() and denominator()."""
+    """Greedy expansion one digit at a time from quotient() and q_i."""
     top = 0
-    while base.denominator(top) <= n:
+    while denominator(base, top) <= n:
         top += 1
     digits = [0] * top
     rem = n
     for i in range(top - 1, -1, -1):
-        b = rem // base.denominator(i)
+        b = rem // denominator(base, i)
         if i > 0:
             b = min(b, base.quotient(i + 1))
         digits[i] = b
-        rem -= b * base.denominator(i)
+        rem -= b * denominator(base, i)
     assert rem == 0
     return tuple(digits)
 
 
 def reference_value(digits, base):
-    return sum(b * base.denominator(i) for i, b in enumerate(digits))
+    return sum(b * denominator(base, i) for i, b in enumerate(digits))
 
 
 @pytest.mark.parametrize("name", ["sqrt2m1", "sqrt2m1over2", "sqrt3over2", "xi4"])
@@ -186,12 +191,12 @@ def test_deep_encode_matches_reference_and_cache(exponent, name):
     assert all(a[i] == base.quotient(i) for i in range(len(a)))
     assert q[:2] == [1, a[1]]
     assert all(q[i] == a[i] * q[i - 1] + q[i - 2] for i in range(2, len(q)))
-    # and so do the numerators, grown in the same loop
-    p = base._p
-    assert len(p) == len(q) and p[:2] == [a[0], a[1] * a[0] + 1]
-    assert all(p[i] == a[i] * p[i - 1] + p[i - 2] for i in range(2, len(p)))
-    # the determinant identity takes two big products per index: check it on
-    # every entry below 10^1000 and on the deepest hundred
+    # the numerators, computed here by their recurrence, pair with the cached
+    # denominators in the determinant identity; it takes two big products per
+    # index, so check it on every entry below 10^1000 and on the deepest hundred
+    p = [a[0], a[1] * a[0] + 1]
+    for i in range(2, len(q)):
+        p.append(a[i] * p[-1] + p[-2])
     for i in range(1, len(p)):
         if q[i] < 10**1000 or i >= len(p) - 100:
             assert p[i] * q[i - 1] - p[i - 1] * q[i] == (-1) ** (i - 1), i

@@ -1,5 +1,7 @@
 import math
 import operator
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -273,10 +275,20 @@ def test_floor_scaled_matches_enclosure(j, which):
 # --- continued fractions -----------------------------------------------------
 
 
+def _numerators(a):
+    """p_0, p_1, ... of the quotients a, by p_i = a_i p_{i-1} + p_{i-2}."""
+    p2, p1, p = 0, 1, []
+    for ai in a:
+        p1, p2 = ai * p1 + p2, p1
+        p.append(p1)
+    return p
+
+
 def _convergents(cf, n):
-    """(p_i, q_i) for i = 0..n, read from the continued fraction's caches."""
+    """(p_i, q_i) for i = 0..n: q read from the continued fraction's cache,
+    p computed here from its quotients."""
     q = cf.denominators_through(n)[: n + 1]
-    return list(zip(cf._p[: n + 1], q))
+    return list(zip(_numerators(cf.quotients_through(n)[: n + 1]), q))
 
 
 def test_cf_sqrt2_minus_one():
@@ -311,32 +323,30 @@ def test_convergent_recurrence_and_coprimality():
         pq = _convergents(cf, 12)
         for n in range(2, 13):
             a = cf.quotient(n)
-            assert pq[n][0] == a * pq[n - 1][0] + pq[n - 2][0]
             assert pq[n][1] == a * pq[n - 1][1] + pq[n - 2][1]
             assert math.gcd(*pq[n]) == 1
 
 
 def test_cache_same_whatever_the_growth_order():
     # growing the cache index by index, past a bound, or in one call from
-    # cold gives the same a, p and q lists as the textbook recurrence
+    # cold gives the same a and q lists as the textbook recurrence
     for xi in FIXTURES:
         stepwise = cf_expand(xi)
-        stepwise.denominator(0)
-        stepwise.denominator(1)
+        stepwise.denominators_through(0)
+        stepwise.denominators_through(1)
         stepwise.denominators_past(10**40)
         stepwise.quotients_through(150)
         top = len(stepwise.denominators_through(0))
         cold = cf_expand(xi)
         cold.quotients_through(top - 1)
         a = [cold.quotient(i) for i in range(top)]
-        p, q = [a[0], a[1] * a[0] + 1], [1, a[1]]
+        q = [1, a[1]]
         for i in range(2, top):
-            p.append(a[i] * p[-1] + p[-2])
             q.append(a[i] * q[-1] + q[-2])
         # growth past the bound stops at the first q beyond it
         assert top == 151 or q[-2] <= 10**40 < q[-1]
         for cf in (stepwise, cold):
-            assert (cf._a, cf._p, cf._q) == (a, p, q)
+            assert (cf._a, cf._q) == (a, q)
         # a cold cache asked for nothing stays empty
         assert cf_expand(xi).denominators_through(-1) == []
 
@@ -404,6 +414,38 @@ def test_cf_expand_floor_and_alternation(a, b, d, c):
     assert cf.quotient(0) == xi.floor()
     for n, (p, q) in enumerate(_convergents(cf, 12)):
         assert (xi * q > p) if n % 2 == 0 else (xi * q < p)
+
+
+@pytest.mark.parametrize("name", ["sqrt2m1", "xi4"])
+def test_cf_growth_holds_little_beyond_its_denominators(name):
+    # growing a cold cache past 10^2000 allocates at most a quarter more
+    # than the q list it returns: no other big-int list grows alongside
+    cf = cf_expand(parse_surd(name))
+    bound = 10**2000
+    tracemalloc.start()
+    try:
+        q = cf.denominators_past(bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sys.getsizeof(q) + sum(map(sys.getsizeof, q))
+    assert q[-1] > bound
+    assert peak <= 1.25 * held, (peak, held)
+
+
+def test_cycle_fixtures():
+    # (start, length): the preperiod's length, and the period's doubled when odd
+    assert cf_expand(SQRT2_M1).cycle() == (1, 2)  # [0; (2)*]
+    assert cf_expand(parse_surd("sqrt2m1over2")).cycle() == (1, 2)  # [0; (4, 1)*]
+    assert cf_expand(parse_surd("sqrt3over2")).cycle() == (2, 2)  # [0; 1, (6, 2)*]
+    assert cf_expand(parse_surd("silver")).cycle() == (0, 2)  # [(2)*]
+    assert ContinuedFraction([0, 5], [1, 2, 3]).cycle() == (2, 6)
+
+
+def test_cf_expand_period_past_the_term_bound_is_a_value_error():
+    # a legal surd whose period is longer than the 10^5 quotients searched
+    with pytest.raises(ValueError, match=r"does not repeat within 100000 terms"):
+        cf_expand(parse_surd("(1+1000*sqrt(7))/997"))
 
 
 def test_invalid_cf_construction():
