@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .numeration import OstrowskiWord, encode
+from .numeration import OstrowskiWord, alphabet_size, encode
 from .qarith import ContinuedFraction, is_br
 from .walk import NotBrNumber
 
@@ -112,7 +112,7 @@ class _Builder:
     def __init__(self, cf: ContinuedFraction):
         self.cf = cf
         self.caps, self.loop_to = _digit_stream(cf)
-        self.alphabet = max(self.caps) + 1
+        self.alphabet = alphabet_size(cf)
 
     def next_pos(self, pos: int) -> int:
         return pos + 1 if pos + 1 < len(self.caps) else self.loop_to

@@ -127,8 +127,18 @@ def encode(n: int, base: ContinuedFraction) -> OstrowskiWord:
     return OstrowskiWord(tuple(digits), base)
 
 
+_LONG_WORD = 2048  # words with more places than this are summed chunk by chunk
+_CHUNK = 64  # fewest places per chunk; a longer cycle keeps the direct sum
+
+
 def decode(word: OstrowskiWord | Sequence[int], base: ContinuedFraction | None = None) -> int:
-    """Value sum b_i * q_i of a digit word; validates raw digit lists."""
+    """Value sum b_i * q_i of a digit word; validates raw digit lists.
+
+    A word of up to _LONG_WORD places is the direct sum, one big product
+    per place. A longer word over a base whose `cycle()` fits in a chunk
+    goes through `_chunked_sum`: one big multiply-add per chunk of at
+    least _CHUNK places instead of one per place.
+    """
     if isinstance(word, OstrowskiWord):
         digits = word.digits
         base = word.base
@@ -139,7 +149,37 @@ def decode(word: OstrowskiWord | Sequence[int], base: ContinuedFraction | None =
         if not verdict:
             raise InvalidDigits(verdict.reason)
         digits = tuple(word)
-    return sum(map(mul, digits, base.denominators_through(len(digits) - 1)))
+    places = len(digits)
+    if places > _LONG_WORD:
+        start, length = base.cycle()
+        if length <= _CHUNK:  # w: the least multiple of the cycle >= _CHUNK
+            return _chunked_sum(digits, base, max(start, 1), -(-_CHUNK // length) * length)
+    return sum(map(mul, digits, base.denominators_through(places - 1)))
+
+
+def _chunked_sum(digits: Sequence[int], base: ContinuedFraction, lo: int, w: int) -> int:
+    """sum b_i * q_i with one big multiply-add per w places from place lo on.
+
+    lo = max(start, 1) and w is a multiple of the cycle, so q_{lo-1} exists
+    and a_{i+w} = a_i for every i > lo. So every chunk start c = lo + t*w
+    has q_{c+j} = x_j q_c + y_j q_{c-1} with the same coefficients x_j, y_j
+    (j < w), built here once per call from a_{lo+1..lo+w-1}. A chunk then
+    costs two small-int dot products and two big products.
+    """
+    a = base.quotients_through(lo + w)
+    dens = base.denominators_through(len(digits) - 1)
+    xs, ys = [1], [0]
+    x, x0, y, y0 = 1, 0, 0, 1  # (x_j, x_{j-1}) and (y_j, y_{j-1}) at j = 0
+    for j in range(lo + 1, lo + w):
+        x, x0 = a[j] * x + x0, x
+        y, y0 = a[j] * y + y0, y
+        xs.append(x)
+        ys.append(y)
+    total = sum(map(mul, digits[:lo], dens))
+    for c in range(lo, len(digits), w):
+        chunk = digits[c : c + w]
+        total += sum(map(mul, chunk, xs)) * dens[c] + sum(map(mul, chunk, ys)) * dens[c - 1]
+    return total
 
 
 def pell_number(n: int) -> int:

@@ -67,6 +67,20 @@ def _sign(a: int, b: int, d: int) -> int:
     return -sb
 
 
+def _fill(surd: "QuadraticSurd", a: int, b: int, d: int, c: int) -> None:
+    """Set the fields of a surd to (a + b*sqrt(d))/c in lowest terms with
+    c > 0; d must already be squarefree and c nonzero."""
+    if c < 0:
+        a, b, c = -a, -b, -c
+    g = math.gcd(a, b, c)
+    if g > 1:
+        a, b, c = a // g, b // g, c // g
+    object.__setattr__(surd, "a", a)
+    object.__setattr__(surd, "b", b)
+    object.__setattr__(surd, "d", d)
+    object.__setattr__(surd, "c", c)
+
+
 @dataclass(frozen=True)
 class QuadraticSurd:
     """(a + b*sqrt(d))/c with gcd(a,b,c)=1, c>0, d squarefree, b != 0."""
@@ -88,15 +102,7 @@ class QuadraticSurd:
         if square > 1:
             b *= square
             d = free
-        if c < 0:
-            a, b, c = -a, -b, -c
-        g = math.gcd(math.gcd(a, b), c)
-        if g > 1:
-            a, b, c = a // g, b // g, c // g
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "c", c)
+        _fill(self, a, b, d, c)
 
     # --- ordering -----------------------------------------------------
 
@@ -138,9 +144,16 @@ class QuadraticSurd:
         return None
 
     def _result(self, a: int, b: int, c: int):
-        """(a + b*sqrt(d))/c as a surd, or as an int or Fraction when b == 0."""
+        """(a + b*sqrt(d))/c as a surd, or as an int or Fraction when b == 0.
+
+        d is this surd's own, already squarefree, so a surd result skips
+        the radicand split of `__post_init__` and keeps its sign fix and
+        gcd. c != 0 here.
+        """
         if b:
-            return QuadraticSurd(a, b, self.d, c)
+            surd = object.__new__(QuadraticSurd)
+            _fill(surd, a, b, self.d, c)
+            return surd
         q, r = divmod(a, c)
         return Fraction(a, c) if r else q
 
@@ -163,7 +176,7 @@ class QuadraticSurd:
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticSurd(-self.a, -self.b, self.d, self.c)
+        return self._result(-self.a, -self.b, self.c)
 
     def __sub__(self, other):
         t = self._operand(other)

@@ -46,14 +46,25 @@ def generate(name: str, n: int) -> list[int]:
     row = RECURRENCES[name]
     if n < row.first:
         raise ValueError(f"n must be >= {row.first}")
-    # a rule as its nonzero (-lag, coefficient) pairs: one multiply-add per term
-    steps = [([(-lag, c) for lag, c in enumerate(cs, 1) if c], e) for cs, e in row.rules]
+    # a rule as its nonzero (-lag, coefficient) pairs: the first starts the
+    # term, each later one is one add (a +-1 coefficient multiplies nothing)
+    steps = []
+    for cs, e in row.rules:
+        # a rule with no nonzero coefficient keeps one zero product: X_k = e
+        pairs = [(-lag, c) for lag, c in enumerate(cs, 1) if c] or [(-1, 0)]
+        steps.append((pairs[0], pairs[1:], e))
     terms = list(row.initial)
     for k in range(row.start + len(terms), n + 1):
-        pairs, x = steps[k % len(steps)]
-        for lag, c in pairs:
-            x += c * terms[lag]
-        terms.append(x)
+        (lag, c), rest, e = steps[k % len(steps)]
+        x = terms[lag] if c == 1 else c * terms[lag]
+        for lag, c in rest:
+            if c == 1:
+                x += terms[lag]
+            elif c == -1:
+                x -= terms[lag]
+            else:
+                x += c * terms[lag]
+        terms.append(x + e if e else x)
     return terms[row.first - row.start : n - row.start + 1]
 
 

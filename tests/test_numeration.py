@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walklab import numeration
 from walklab.numeration import (
     alphabet_size,
     InvalidDigits,
@@ -210,6 +213,84 @@ def test_deep_encode_takes_every_digit_branch():
     for base in DEEP_BASES.values():
         seen |= {min(b, 4) for b in encode(10**1000 + 12345, base).digits}
     assert seen == {0, 1, 2, 3, 4}
+
+
+CHUNK_BASES = {
+    **DEEP_BASES,
+    "sqrt3": cf_expand(parse_surd("sqrt3")),  # [1; (1, 2)*]: a preperiod
+    "golden": cf_expand(parse_surd("golden")),  # [(1)*]: start 0, odd period doubled
+    "sqrt13": cf_expand(QuadraticSurd(0, 1, 13)),  # period 5, cycle 10: chunks of 70
+    "sqrt1366": cf_expand(QuadraticSurd(0, 1, 1366)),  # cycle of 70 places
+}
+
+
+def word_of_length(base, length, seed):
+    """A random canonical word of exactly `length` places, and its value."""
+    if length == 0:
+        return encode(0, base), 0
+    q = base.denominators_through(length)
+    n = random.Random(seed).randrange(q[length - 1], q[length])
+    word = encode(n, base)
+    assert len(word) == length
+    return word, n
+
+
+def chunk_lengths(base):
+    """Word lengths at the long-word threshold, at a chunk boundary past it,
+    with a short last chunk, and the empty word."""
+    start, length = base.cycle()
+    lo, w = max(start, 1), -(-numeration._CHUNK // length) * length
+    edge = lo + w * ((numeration._LONG_WORD - lo) // w + 2)  # a chunk start c
+    t = numeration._LONG_WORD
+    return [0, t - 1, t, t + 1, edge - 1, edge, edge + 1, edge + w // 2]
+
+
+@pytest.mark.parametrize("name", list(CHUNK_BASES))
+def test_long_word_decode_matches_per_digit_reference(name, monkeypatch):
+    base = CHUNK_BASES[name]
+    chunked = numeration._chunked_sum
+    reached = []
+
+    def spy(digits, *rest):
+        reached.append(len(digits))
+        return chunked(digits, *rest)
+
+    monkeypatch.setattr(numeration, "_chunked_sum", spy)
+    lengths = chunk_lengths(base)
+    for length in lengths:
+        word, n = word_of_length(base, length, seed=length)
+        assert decode(word) == n == reference_value(word.digits, base), (name, length)
+        assert decode(list(word.digits), base) == n, (name, length)
+    # the threshold and the cycle bound pick the path: a cycle longer than
+    # a chunk keeps the direct sum at every length
+    fits = base.cycle()[1] <= numeration._CHUNK
+    long = [k for k in lengths if fits and k > numeration._LONG_WORD]
+    assert reached == [k for k in long for _ in range(2)]  # word, then raw list
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.sampled_from(["sqrt2m1", "xi4", "sqrt3", "golden"]),
+    st.integers(min_value=4500, max_value=7000),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_long_word_decode_random(name, bits, seed):
+    base = CHUNK_BASES[name]
+    n = random.Random(seed).getrandbits(bits) | 1 << (bits - 1)
+    word = encode(n, base)
+    assert len(word) > numeration._LONG_WORD
+    assert decode(word) == n == reference_value(word.digits, base)
+
+
+def test_short_words_never_reach_chunked_sum(monkeypatch):
+    def boom(*args):
+        raise AssertionError("a short word reached the chunked sum")
+
+    monkeypatch.setattr(numeration, "_chunked_sum", boom)
+    for name, base in CHUNK_BASES.items():
+        word, n = word_of_length(base, 40, seed=40)
+        assert decode(word) == n == reference_value(word.digits, base), name
+        assert decode(list(word.digits), base) == n, name
 
 
 def test_roundtrip_small_all_bases():

@@ -227,6 +227,32 @@ def test_mixed_radicands_rejected_everywhere(pair):
             op(y, x)
 
 
+SQUAREFREE = [2, 3, 5, 6, 7, 13, 1366, 1000001]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(SQUAREFREE),
+    st.integers(-(10**30), 10**30),
+    st.integers(-(10**30), 10**30),
+    st.integers(-(10**30), 10**30).filter(bool),
+)
+def test_result_equals_full_constructor(d, a, b, c):
+    # arithmetic results skip the radicand split, which a squarefree d never
+    # needs, and must keep the sign fix, the gcd and the rational branch
+    got = QuadraticSurd(0, 1, d)._result(a, b, c)
+    if b == 0:
+        assert got == Fraction(a, c) and type(got) is (int if a % c == 0 else Fraction)
+        return
+    want = QuadraticSurd(a, b, d, c)
+    assert type(got) is QuadraticSurd
+    assert (got.a, got.b, got.d, got.c) == (want.a, want.b, want.d, want.c)
+    assert got.c > 0 and math.gcd(got.a, got.b, got.c) == 1
+    assert got == want and hash(got) == hash(want) and str(got) == str(want)
+    neg = -want
+    assert (neg.a, neg.b, neg.c) == (-want.a, -want.b, want.c) and neg.d == d
+
+
 # --- floors -----------------------------------------------------------------
 
 
