@@ -9,8 +9,10 @@ module re-checks every claimed identity against the brute-force walk.
 """
 
 from .qarith import (
+    CheckFailed,
     ContinuedFraction,
     MixedRadicand,
+    NotBrNumber,
     NotIrrational,
     QuadraticSurd,
     cf_expand,
@@ -22,8 +24,6 @@ from .qarith import (
 from .numeration import InvalidDigits, OstrowskiWord, decode, encode, pell_number, validate
 from .walk import (
     AbSequences,
-    CheckFailed,
-    NotBrNumber,
     RuleEngine,
     WalkSpec,
     WalkTrace,

@@ -3,10 +3,12 @@
 Machines read one digit per step, least significant digit first (the order
 of `OstrowskiWord.digits` and of `parse_digits`), and classify integers by
 their digit expansions. State 0 is the start and the last state is the
-absorbing dead state. Builders produce automata for the zero set and the
-record set of a BR walk; both fold digit validity into the machine, so an
-input that is not a well-formed expansion lands in the dead state and is
-reported as `invalid` rather than `reject`.
+absorbing dead state. The zero-set and record-set machines of a BR walk
+come from one breadth-first builder, `_build`, over (digit position,
+previous digit zero, tracker) keys; the two differ only in their tracker.
+The builder folds digit validity into the machine, so an input that is not
+a well-formed expansion lands in the dead state and is reported as
+`invalid` rather than `reject`.
 
 State layout is deterministic (breadth-first discovery order), which keeps
 DOT exports byte-stable for golden tests.
@@ -14,13 +16,11 @@ DOT exports byte-stable for golden tests.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .numeration import OstrowskiWord, alphabet_size, encode
-from .qarith import ContinuedFraction, is_br
-from .walk import NotBrNumber
+from .qarith import ContinuedFraction, NotBrNumber, is_br
 
 ACCEPT = "accept"
 REJECT = "reject"
@@ -104,54 +104,39 @@ def _digit_stream(cf: ContinuedFraction) -> tuple[list[int], int]:
     return [cf.quotient(p + 1) for p in range(unroll + length)], unroll
 
 
-class _Builder:
-    """Shared BFS construction over (position, prev-digit-zero, tracker)."""
+def _build(cf: ContinuedFraction, kind: str, start_track, track_step, track_accepts) -> DigitDfa:
+    """Breadth-first construction over (position, prev-digit-zero, tracker).
 
-    DEAD = "dead"
-
-    def __init__(self, cf: ContinuedFraction):
-        self.cf = cf
-        self.caps, self.loop_to = _digit_stream(cf)
-        self.alphabet = alphabet_size(cf)
-
-    def next_pos(self, pos: int) -> int:
-        return pos + 1 if pos + 1 < len(self.caps) else self.loop_to
-
-    def valid_step(self, pos: int, prev_zero: bool, g: int) -> bool:
-        cap = self.caps[pos]
-        if g > cap:
-            return False
-        if g == cap and (pos == 0 or not prev_zero):
-            return False
-        return True
-
-    def build(self, start_track, track_step, track_accepts) -> DigitDfa:
-        start = (0, True, start_track)
-        ids: dict = {start: 0}
-        order = [start]
-        rows: list[list] = []
-        queue = deque([start])
-        while queue:
-            key = queue.popleft()
-            pos, pz, track = key
-            row = []
-            for g in range(self.alphabet):
-                if not self.valid_step(pos, pz, g):
-                    row.append(self.DEAD)
-                    continue
-                nxt = (self.next_pos(pos), g == 0, track_step(pos, track, g))
-                if nxt not in ids:
-                    ids[nxt] = len(order)
-                    order.append(nxt)
-                    queue.append(nxt)
-                row.append(nxt)
-            rows.append(row)
-        dead = len(order)
-        table = tuple(
-            tuple(dead if t is self.DEAD else ids[t] for t in row) for row in rows
-        ) + ((dead,) * self.alphabet,)
-        accepting = frozenset(i for i, key in enumerate(order) if track_accepts(key[2]))
-        return DigitDfa(transitions=table, accepting=accepting)
+    A digit g is valid at a position with cap a_{p+1} unless g > cap, or
+    g == cap at position 0 or after a nonzero digit; an invalid digit goes to
+    the dead row. `track_step(cap, pos, track, g)` advances the tracker over
+    a valid digit, and `track_accepts(track)` decides acceptance.
+    """
+    if not is_br(cf):
+        raise NotBrNumber(f"{kind} automaton requires a BR base")
+    caps, loop_to = _digit_stream(cf)
+    alphabet = alphabet_size(cf)
+    order = [(0, True, start_track)]
+    ids = {order[0]: 0}
+    rows = []
+    for pos, prev_zero, track in order:  # order grows as states are found
+        cap = caps[pos]
+        nxt_pos = pos + 1 if pos + 1 < len(caps) else loop_to
+        row: list[int | None] = []
+        for g in range(alphabet):
+            if g > cap or (g == cap and (pos == 0 or not prev_zero)):
+                row.append(None)
+                continue
+            nxt = (nxt_pos, g == 0, track_step(cap, pos, track, g))
+            if nxt not in ids:
+                ids[nxt] = len(order)
+                order.append(nxt)
+            row.append(ids[nxt])
+        rows.append(row)
+    dead = len(order)
+    table = tuple(tuple(dead if t is None else t for t in row) for row in rows)
+    accepting = frozenset(i for i, key in enumerate(order) if track_accepts(key[2]))
+    return DigitDfa(transitions=table + ((dead,) * alphabet,), accepting=accepting)
 
 
 def build_zero_dfa(cf: ContinuedFraction) -> DigitDfa:
@@ -160,14 +145,11 @@ def build_zero_dfa(cf: ContinuedFraction) -> DigitDfa:
     Accepts exactly the well-formed expansions whose even-position digits are
     all zero; the walk value at such an index is zero and conversely.
     """
-    if not is_br(cf):
-        raise NotBrNumber("zero automaton requires a BR base")
-    builder = _Builder(cf)
 
-    def step(pos: int, in_set: bool, g: int) -> bool:
+    def step(cap: int, pos: int, in_set: bool, g: int) -> bool:
         return in_set and (g == 0 or pos % 2 == 1)
 
-    return builder.build(True, step, lambda in_set: in_set)
+    return _build(cf, "zero", True, step, lambda in_set: in_set)
 
 
 # record tracker values
@@ -183,24 +165,20 @@ def build_record_dfa(cf: ContinuedFraction) -> DigitDfa:
     stay exact while even digits equal half the cap, then one strict drop
     (the leading digit) forces every later digit to zero.
     """
-    if not is_br(cf):
-        raise NotBrNumber("record automaton requires a BR base")
-    builder = _Builder(cf)
-    caps = builder.caps
 
-    def step(pos: int, track: int, g: int) -> int:
+    def step(cap: int, pos: int, track: int, g: int) -> int:
         if track == _OUT:
             return _OUT
         if track == _SLACK:
             return _SLACK if g == 0 else _OUT
         if pos % 2 == 1:
             return _EXACT if g == 0 else _OUT
-        half = caps[pos] // 2
+        half = cap // 2
         if g == half:
             return _EXACT
         return _SLACK if g < half else _OUT
 
-    return builder.build(_EXACT, step, lambda track: track != _OUT)
+    return _build(cf, "record", _EXACT, step, lambda track: track != _OUT)
 
 
 # --- hand-written fixtures -------------------------------------------------

@@ -28,6 +28,10 @@ class NotIrrational(ValueError):
     """A rational value reached code that requires an irrational."""
 
 
+class CheckFailed(AssertionError):
+    """A verified identity failed; carries the first counterexample."""
+
+
 def _squarefree_split(d: int) -> tuple[int, int]:
     # d = square * squarefree; trial division is plenty for the radicands here
     square, free = 1, 1
@@ -354,6 +358,10 @@ def cf_expand(xi: QuadraticSurd) -> ContinuedFraction:
     raise ValueError(
         f"continued fraction of {xi} does not repeat within {_MAX_CF_TERMS} terms"
     )
+
+
+class NotBrNumber(ValueError):
+    """A construction that needs a BR rotation was given one that is not."""
 
 
 def is_br(cf: ContinuedFraction) -> bool:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .qarith import QuadraticSurd, noble_mean_adjusted
-from .walk import CheckFailed
+from .qarith import CheckFailed, QuadraticSurd, noble_mean_adjusted
 
 Point = Union[int, Fraction, QuadraticSurd]
 
@@ -99,8 +98,8 @@ def fixed_point(sub: Substitution, seed: str = "a", length: int = 0) -> str:
     """
     if not sub.words[seed].startswith(seed):
         raise NotProlongable(f"sigma({seed}) = {sub.words[seed]!r} does not start with {seed!r}")
-    if length <= 0:
-        return ""
+    if length < 0:
+        raise ValueError("prefix length must be >= 0")
     word = seed
     while len(word) < length:
         grown = sub.apply(word)

@@ -27,16 +27,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .qarith import ContinuedFraction, QuadraticSurd, cf_expand, floor_scaled, is_br
-
-
-class NotBrNumber(ValueError):
-    """The rules engine needs a BR rotation; this one is not."""
-
-
-class CheckFailed(AssertionError):
-    """A verified identity failed; carries the first counterexample."""
-
+from .qarith import (
+    CheckFailed,
+    ContinuedFraction,
+    NotBrNumber,
+    QuadraticSurd,
+    cf_expand,
+    floor_scaled,
+    is_br,
+)
 
 _SCALE = 62  # fixed-point bits for the certified step accumulator
 # Steps per block of the bulk paths: a block's uint64/int64 temporaries
@@ -153,8 +152,8 @@ def brute_walk(spec: WalkSpec, n: int, exact: bool = False) -> WalkTrace:
     floor(j*theta) is even exactly when {j*theta/2} < 1/2, so the fast path
     reads each step from the rotation's indicator of [0, 1/2).
     """
-    if n < 1:
-        raise ValueError("walk length must be >= 1")
+    if n < 0:
+        raise ValueError("walk length must be >= 0")
     if exact:
         signs = _signs_exact(spec.theta, n)
     else:
@@ -250,6 +249,8 @@ class RuleEngine:
 
 
 def _trace_for(x: WalkTrace | WalkSpec, n: int) -> WalkTrace:
+    if n < 0:
+        raise ValueError("walk length must be >= 0")
     if isinstance(x, WalkTrace):
         if x.n < n:
             raise ValueError(f"trace has {x.n} steps, {n} requested")
@@ -265,8 +266,6 @@ def records(x: WalkTrace | WalkSpec, n: int) -> list[int]:
     maximum or minimum. The scan carries the running (hi, lo) from block to
     block; a block whose max and min stay inside [lo, hi] holds no record.
     """
-    if n == 0:
-        return [0]
     sums = _trace_for(x, n).sums[:n]
     found = [np.zeros(1, dtype=np.int64)]
     hi = lo = 0
@@ -290,8 +289,6 @@ def _new_extremes(ufunc: np.ufunc, bound: int, block: np.ndarray) -> np.ndarray:
 
 def zeros(x: WalkTrace | WalkSpec, n: int) -> list[int]:
     """Ascending indices m <= n with S_m = 0, starting with 0."""
-    if n == 0:
-        return [0]
     t = _trace_for(x, n)
     return [0] + (np.nonzero(t.sums[:n] == 0)[0] + 1).tolist()
 

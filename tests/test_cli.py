@@ -474,6 +474,9 @@ def test_usage_error_exit_2(capsys):
         (["seq", "--theta", "2sqrt2", "--which", "a", "--n", "-3"], "term count must be >= 0"),
         (["walk", "--theta", "2sqrt2", "--emit", "diff", "--n", "-3"], "term count must be >= 0"),
         (["discrepancy", "--xi", "sqrt2m1", "--n", "-5"], "walk length must be >= 0"),
+        (["walk", "--theta", "2sqrt2", "--n", "-5"], "walk length must be >= 0"),
+        (["subst", "--m", "2", "--emit", "fixedpoint", "--len", "-5"],
+         "prefix length must be >= 0"),
     ],
 )
 def test_negative_length_usage_error(capsys, argv, message):
@@ -486,6 +489,10 @@ def test_negative_length_usage_error(capsys, argv, message):
 
 def test_discrepancy_zero_length_prints_nothing(capsys):
     assert run_cli(capsys, "discrepancy", "--xi", "sqrt2m1", "--n", "0") == (0, "")
+
+
+def test_walk_zero_length_prints_nothing(capsys):
+    assert run_cli(capsys, "walk", "--theta", "2sqrt2", "--n", "0") == (0, "")
 
 
 def test_subst_odd_m_usage_error(capsys):

@@ -87,3 +87,39 @@ def test_no_print_in_package():
             and node.func.id == "print"
         ]
     assert not found, f"print calls in walklab: {found}"
+
+
+# the walk engine and numpy stay behind these modules: the package root
+# re-exports every layer, and the rest of the package is pure Python
+NUMPY_LAYERS = {"__init__", "walk", "verify", "cli"}
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            dots = "." * node.level
+            if node.module:
+                names.add(dots + node.module)
+            else:  # from . import walk
+                names.update(dots + alias.name for alias in node.names)
+    return names
+
+
+def test_pure_layers_import_neither_numpy_nor_walk():
+    found = []
+    scanned = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in NUMPY_LAYERS:
+            continue
+        scanned.add(path.stem)
+        imports = _imported_modules(ast.parse(path.read_text(), filename=str(path)))
+        found += [
+            f"{path.name}: {name}"
+            for name in sorted(imports)
+            if name.split(".")[0] == "numpy" or name in (".walk", "walklab.walk")
+        ]
+    assert {"qarith", "numeration", "automata", "substitution", "recurrences"} <= scanned
+    assert not found, f"numpy or walk imported outside {sorted(NUMPY_LAYERS)}: {found}"

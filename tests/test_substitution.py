@@ -67,6 +67,8 @@ def test_fixed_point_prefix_property():
     long = fixed_point(sub, "a", 500)
     assert fixed_point(sub, "a", 120) == long[:120]
     assert fixed_point(sub, "a", 0) == ""
+    with pytest.raises(ValueError, match="prefix length must be >= 0"):
+        fixed_point(sub, "a", -1)
 
 
 def test_fixed_point_coded_matches_rotation_m2():

@@ -1,0 +1,32 @@
+from walklab import automata, verify
+
+
+def test_crashed_checks_keep_their_names(monkeypatch):
+    # a crashed check is reported under the name its passing run shows
+    passing = verify.run_suite("all", "quick")
+    assert all(r.ok for r in passing), [r.name for r in passing if not r.ok]
+
+    def crashing(check):
+        def crash(bounds):
+            raise RuntimeError("injected")
+
+        crash.__name__ = check.__name__
+        return crash
+
+    for suite, checks in list(verify.SUITES.items()):
+        monkeypatch.setitem(verify.SUITES, suite, [crashing(c) for c in checks])
+    crashed = verify.run_suite("all", "quick")
+    assert [r.name for r in crashed] == [r.name for r in passing]
+    assert all(not r.ok and r.detail == "RuntimeError: injected" for r in crashed)
+
+
+def test_br_digit_theorems_catch_a_broken_zero_machine(monkeypatch):
+    # index 1 is a record of 2sqrt2 but not a zero, so the record machine
+    # passed off as the zero machine disagrees with the zero set
+    def build_zero_dfa(cf):
+        return automata.build_record_dfa(cf)
+
+    monkeypatch.setattr(automata, "build_zero_dfa", build_zero_dfa)
+    results = {r.name: r for r in verify.run_suite("automata", "quick")}
+    theorems = results["automata.br_digit_theorems"]
+    assert not theorems.ok and "build_zero_dfa" in theorems.detail, theorems.detail

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walklab.qarith import QuadraticSurd, floor_scaled, parse_surd
-from walklab import walk
+import walklab
+from walklab import qarith, walk
 from walklab.walk import (
     _CHUNK,
     CheckFailed,
@@ -502,5 +503,26 @@ def test_br_walks_stay_nonnegative():
 
 
 def test_brute_walk_rejects_bad_length():
-    with pytest.raises(ValueError):
-        brute_walk(TWO_SQRT2, 0)
+    with pytest.raises(ValueError, match="walk length must be >= 0"):
+        brute_walk(TWO_SQRT2, -1)
+    for exact in (False, True):
+        t = brute_walk(TWO_SQRT2, 0, exact=exact)
+        assert t.n == 0 and t.sums.size == 0 and t.signs.size == 0
+
+
+@pytest.mark.parametrize("source", ["trace", "spec"])
+def test_reducers_share_one_length_rule(source):
+    # a trace and a spec obey the same rule: a negative length raises
+    # instead of slicing [:n] off the end, and 0 gives the empty walk
+    x = brute_walk(TWO_SQRT2, 40) if source == "trace" else TWO_SQRT2
+    for reducer in (records, zeros, ab_sequences):
+        with pytest.raises(ValueError, match="walk length must be >= 0"):
+            reducer(x, -1)
+    assert records(x, 0) == [0] and zeros(x, 0) == [0]
+    seqs = ab_sequences(x, 0)
+    assert seqs.a.size == 0 and seqs.b.size == 0
+
+
+def test_shared_exceptions_live_in_qarith():
+    assert walk.NotBrNumber is qarith.NotBrNumber is walklab.NotBrNumber
+    assert walk.CheckFailed is qarith.CheckFailed is walklab.CheckFailed
