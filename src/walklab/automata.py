@@ -73,15 +73,28 @@ class DigitDfa:
 
 def run(dfa: DigitDfa, word: OstrowskiWord | Sequence[int]) -> str:
     """Feed an lsd-first digit word to the machine; verdict accept / reject
-    / invalid."""
-    digits = word.digits if isinstance(word, OstrowskiWord) else word
+    / invalid.
+
+    A raw digit sequence is scanned once for its first digit outside the
+    alphabet. An OstrowskiWord's digits are >= 0, and every row is exactly
+    the alphabet wide, so a digit too large for the machine is the row
+    lookup's IndexError; both raise AlphabetMismatch.
+    """
     table = dfa.transitions
     alphabet = len(table[0])
+    if isinstance(word, OstrowskiWord):
+        digits = word.digits
+    else:
+        digits = word
+        for g in digits:
+            if not 0 <= g < alphabet:
+                raise AlphabetMismatch(f"digit {g} outside alphabet 0..{alphabet - 1}")
     state = 0
-    for g in digits:
-        if not 0 <= g < alphabet:
-            raise AlphabetMismatch(f"digit {g} outside alphabet 0..{alphabet - 1}")
-        state = table[state][g]
+    try:
+        for g in digits:
+            state = table[state][g]
+    except IndexError:
+        raise AlphabetMismatch(f"digit {g} outside alphabet 0..{alphabet - 1}") from None
     if state == len(table) - 1:
         return INVALID
     return ACCEPT if state in dfa.accepting else REJECT
@@ -229,16 +242,21 @@ def equiv_oracle(
     base: ContinuedFraction,
     bound: int,
 ) -> Mismatch | None:
-    """First n <= bound where the machine disagrees with the predicate.
-
-    Every n is encoded canonically; a canonical word must never be ruled
-    invalid, so an `invalid` verdict counts as a mismatch too.
-    """
+    """First n <= bound where the machine disagrees with the predicate."""
     for n in range(bound + 1):
-        verdict = run(dfa, encode(n, base))
-        expected = bool(predicate(n))
-        if (verdict == ACCEPT) != expected or verdict == INVALID:
-            return Mismatch(n=n, expected=expected, verdict=verdict)
+        mismatch = mismatch_at(dfa, n, encode(n, base), bool(predicate(n)))
+        if mismatch:
+            return mismatch
+    return None
+
+
+def mismatch_at(dfa: DigitDfa, n: int, word: OstrowskiWord, expected: bool) -> Mismatch | None:
+    """The Mismatch if the machine's verdict on n's canonical word is not
+    the expected membership. A canonical word must never be ruled invalid,
+    so an `invalid` verdict counts as a mismatch too."""
+    verdict = run(dfa, word)
+    if (verdict == ACCEPT) != expected or verdict == INVALID:
+        return Mismatch(n=n, expected=expected, verdict=verdict)
     return None
 
 

@@ -66,7 +66,13 @@ def validate(digits: Sequence[int], base: ContinuedFraction) -> Validation:
 
 @dataclass(frozen=True)
 class OstrowskiWord:
-    """Canonical digit word (lsd-first, no most-significant zero)."""
+    """Canonical digit word (lsd-first, no most-significant zero).
+
+    The public constructor validates: digits from outside the program
+    (a raw list, `parse_digits`, the CLI) must meet (a)-(c) and have a
+    nonzero top digit. `encode` builds its words through
+    `_canonical_word` instead, since they are canonical by construction.
+    """
 
     digits: tuple[int, ...]
     base: ContinuedFraction
@@ -85,6 +91,16 @@ class OstrowskiWord:
         return format_digits(self.digits, msd=True, alphabet=alphabet_size(self.base))
 
 
+def _canonical_word(digits: tuple[int, ...], base: ContinuedFraction) -> OstrowskiWord:
+    """An OstrowskiWord filled without `__post_init__`: for `encode` only,
+    whose words need no validation."""
+    word = object.__new__(OstrowskiWord)
+    fields = word.__dict__
+    fields["digits"] = digits
+    fields["base"] = base
+    return word
+
+
 def encode(n: int, base: ContinuedFraction) -> OstrowskiWord:
     """Greedy most-significant-first expansion of n >= 0.
 
@@ -95,12 +111,18 @@ def encode(n: int, base: ContinuedFraction) -> OstrowskiWord:
     <= 3 (Pell, for one) never divides. Subtracting beats dividing on the
     near-equal huge operands of a deep index, and a third subtraction
     keeps small ints on the quotient-4 bases, whose digits are mostly 1 to
-    3, as fast as dividing. The word's validation checks (a)-(c).
+    3, as fast as dividing.
+
+    The word is canonical by construction, so it skips validation:
+    rem < q_{i+1} on entry to place i gives b_i <= a_{i+1} (b); b_i =
+    a_{i+1} leaves rem < q_{i+1} - a_{i+1} q_i = q_{i-1}, so b_{i-1} = 0
+    (c); b_0 = rem < q_1 = a_1 (a); and bisect_right makes the top digit
+    at least 1.
     """
     if n < 0:
         raise ValueError("cannot encode a negative integer")
     if n == 0:
-        return OstrowskiWord((), base)
+        return _canonical_word((), base)
     dens = base.denominators_past(n)
     top = bisect_right(dens, n)  # q_0 .. q_{top-1} are the place values <= n
     digits = [0] * top
@@ -124,7 +146,7 @@ def encode(n: int, base: ContinuedFraction) -> OstrowskiWord:
                 digits[i] = b + 3
     if rem:
         raise RuntimeError(f"greedy expansion of {n} left a remainder {rem}")
-    return OstrowskiWord(tuple(digits), base)
+    return _canonical_word(tuple(digits), base)
 
 
 _LONG_WORD = 2048  # words with more places than this are summed chunk by chunk

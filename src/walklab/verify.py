@@ -305,21 +305,36 @@ def check_br_digit_theorems(bounds: Bounds) -> CheckResult:
         spec = walk_spec(parse_surd(theta))
         zero_set = set(zeros(spec, bound))
         rec_set = set(records(spec, bound))
+        machines = [
+            (build.__name__, build(base), target)
+            for build, target in (
+                (automata.build_zero_dfa, zero_set),
+                (automata.build_record_dfa, rec_set),
+            )
+        ]
+        # one encode per n: the digit rules stop at their first failure, and
+        # each machine keeps its first mismatch
+        rule_failure = None
+        mismatches = [None] * len(machines)
         for n in range(bound + 1):
-            digits = encode(n, base).digits
-            if _zero_digits(digits) != (n in zero_set):
-                problems.append(f"{base_name}: zero digit rule fails at {n}")
+            word = encode(n, base)
+            if rule_failure is None:
+                if _zero_digits(word.digits) != (n in zero_set):
+                    rule_failure = f"{base_name}: zero digit rule fails at {n}"
+                elif _record_digits(word.digits, base) != (n in rec_set):
+                    rule_failure = f"{base_name}: record digit rule fails at {n}"
+            for k, (_, dfa, target) in enumerate(machines):
+                if mismatches[k] is None:
+                    mismatches[k] = automata.mismatch_at(dfa, n, word, n in target)
+            if rule_failure and all(mismatches):
                 break
-            if _record_digits(digits, base) != (n in rec_set):
-                problems.append(f"{base_name}: record digit rule fails at {n}")
-                break
-        for build, target in (
-            (automata.build_zero_dfa, zero_set),
-            (automata.build_record_dfa, rec_set),
-        ):
-            mismatch = automata.equiv_oracle(build(base), lambda n: n in target, base, bound)
-            if mismatch:
-                problems.append(f"{base_name} {build.__name__}: {mismatch}")
+        if rule_failure:
+            problems.append(rule_failure)
+        problems += [
+            f"{base_name} {name}: {mismatch}"
+            for (name, _, _), mismatch in zip(machines, mismatches)
+            if mismatch
+        ]
     return _result(
         "automata.br_digit_theorems",
         not problems,
@@ -371,7 +386,14 @@ def check_numeration(bounds: Bounds) -> CheckResult:
     for base_name in ("sqrt2m1", "sqrt2m1over2", "sqrt3over2"):
         base = cf_expand(parse_surd(base_name))
         for n in range(bounds.automata + 1):
-            if decode(encode(n, base)) != n:
+            # encode skips validation, so its words are checked here
+            word = encode(n, base)
+            verdict = validate(word.digits, base)
+            if not verdict or word.digits[-1:] == (0,):
+                reason = verdict.reason or "most-significant digit is zero"
+                problems.append(f"{base_name}: encode({n}) is not canonical: {reason}")
+                break
+            if decode(word) != n:
                 problems.append(f"{base_name}: roundtrip fails at {n}")
                 break
     pell = cf_expand(parse_surd("sqrt2m1"))

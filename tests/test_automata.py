@@ -121,6 +121,20 @@ def test_direction_duality(zero_dfa):
 def test_alphabet_mismatch(zero_dfa):
     with pytest.raises(AlphabetMismatch):
         run(zero_dfa, [3])
+    # a canonical word over a wider base: its first digit past the Pell
+    # machine's alphabet 0..2 is named
+    xi4 = cf_expand(parse_surd("xi4"))
+    word = next(w for w in (encode(n, xi4) for n in range(1000)) if max(w.digits, default=0) >= 3)
+    first = next(g for g in word.digits if g >= 3)
+    with pytest.raises(AlphabetMismatch, match=f"^digit {first} outside alphabet 0..2$"):
+        run(zero_dfa, word)
+    # a raw list names its first offender in lsd order, above or below
+    with pytest.raises(AlphabetMismatch) as raised:
+        run(zero_dfa, [1, 5, -1])
+    assert str(raised.value) == "digit 5 outside alphabet 0..2"
+    with pytest.raises(AlphabetMismatch) as raised:
+        run(zero_dfa, [1, -1, 5])
+    assert str(raised.value) == "digit -1 outside alphabet 0..2"
 
 
 def test_builders_require_br():

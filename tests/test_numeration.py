@@ -160,14 +160,31 @@ def reference_value(digits, base):
     return sum(b * denominator(base, i) for i, b in enumerate(digits))
 
 
-@pytest.mark.parametrize("name", ["sqrt2m1", "sqrt2m1over2", "sqrt3over2", "xi4"])
+REFERENCE_BASES = ["sqrt2m1", "sqrt2m1over2", "sqrt3over2", "xi4"]
+
+
+def assert_canonical(word):
+    # encode skips validation, so the validating constructor must accept
+    # its word unchanged
+    assert word == OstrowskiWord(word.digits, word.base), word.digits
+
+
+@pytest.mark.parametrize("name", REFERENCE_BASES)
 def test_encode_decode_match_per_digit_reference(name):
     base = cf_expand(parse_surd(name))
-    for n in range(2**14 + 1):
-        digits = encode(n, base).digits
-        assert digits == reference_digits(n, base), (name, n)
-        assert decode(encode(n, base)) == n == reference_value(digits, base)
-        assert decode(list(digits), base) == n
+    for n in range(2 * 10**4 + 1):
+        word = encode(n, base)
+        assert word.digits == reference_digits(n, base), (name, n)
+        assert_canonical(word)
+        assert decode(word) == n == reference_value(word.digits, base)
+        assert decode(list(word.digits), base) == n
+    assert_canonical(encode(10**1000 + 12345, base))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(REFERENCE_BASES), st.integers(min_value=0, max_value=10**300))
+def test_encode_words_canonical_random(name, n):
+    assert_canonical(encode(n, cf_expand(parse_surd(name))))
 
 
 DEEP_BASES = {

@@ -123,3 +123,28 @@ def test_pure_layers_import_neither_numpy_nor_walk():
         ]
     assert {"qarith", "numeration", "automata", "substitution", "recurrences"} <= scanned
     assert not found, f"numpy or walk imported outside {sorted(NUMPY_LAYERS)}: {found}"
+
+
+def test_trusted_word_built_only_by_encode():
+    # _canonical_word skips validation, so only encode, whose words are
+    # canonical by construction, may use it; digits parsed from the CLI or
+    # by parse_digits then always pass through validate
+    found, in_encode = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        encode = [
+            node
+            for node in tree.body
+            if path.stem == "numeration" and getattr(node, "name", None) == "encode"
+        ]
+        allowed = {id(inner) for node in encode for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name != "_canonical_word":
+                continue
+            if id(node) in allowed:
+                in_encode += 1
+            else:
+                found.append(f"{path.name}:{node.lineno}")
+    assert in_encode, "numeration.encode no longer builds its words with _canonical_word"
+    assert not found, f"_canonical_word used outside numeration.encode: {found}"

@@ -1,4 +1,5 @@
-from walklab import automata, verify
+from walklab import automata, numeration, verify
+from walklab.qarith import cf_expand, parse_surd
 
 
 def test_crashed_checks_keep_their_names(monkeypatch):
@@ -30,3 +31,34 @@ def test_br_digit_theorems_catch_a_broken_zero_machine(monkeypatch):
     results = {r.name: r for r in verify.run_suite("automata", "quick")}
     theorems = results["automata.br_digit_theorems"]
     assert not theorems.ok and "build_zero_dfa" in theorems.detail, theorems.detail
+
+
+def test_br_digit_theorems_catch_a_broken_record_machine(monkeypatch):
+    # index 1 is a record of 2sqrt2 but not a zero, so the zero machine
+    # passed off as the record machine disagrees with the record set
+    def build_record_dfa(cf):
+        return automata.build_zero_dfa(cf)
+
+    monkeypatch.setattr(automata, "build_record_dfa", build_record_dfa)
+    results = {r.name: r for r in verify.run_suite("automata", "quick")}
+    theorems = results["automata.br_digit_theorems"]
+    assert not theorems.ok and "build_record_dfa" in theorems.detail, theorems.detail
+    assert "build_zero_dfa" not in theorems.detail, theorems.detail
+
+
+def test_numeration_check_catches_a_non_canonical_word(monkeypatch):
+    # b_0 = 2 = a_1 breaks condition (a) on Pell, yet decodes to 2: a
+    # roundtrip alone would pass it
+    pell = cf_expand(parse_surd("sqrt2m1"))
+    real_encode = verify.encode
+
+    def encode(n, base):
+        if n == 2 and (base.preperiod, base.period) == (pell.preperiod, pell.period):
+            return numeration._canonical_word((2,), base)
+        return real_encode(n, base)
+
+    monkeypatch.setattr(verify, "encode", encode)
+    results = {r.name: r for r in verify.run_suite("automata", "quick")}
+    check = results["automata.numeration"]
+    assert not check.ok, check.detail
+    assert "sqrt2m1: encode(2) is not canonical: b_0 = 2 not below a_1 = 2" in check.detail
