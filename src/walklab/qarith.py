@@ -292,7 +292,8 @@ class ContinuedFraction:
         This is the cache itself, shared by every caller: read it, never
         mutate it.
         """
-        self._extend(n)
+        if len(self._a) <= n:
+            self._extend(n)
         return self._a
 
     def denominators_through(self, n: int) -> list[int]:
@@ -301,7 +302,8 @@ class ContinuedFraction:
         This is the cache itself, shared by every caller: read it, never
         mutate it.
         """
-        self._extend(n)
+        if len(self._q) <= n:
+            self._extend(n)
         return self._q
 
     def denominators_past(self, bound: int) -> list[int]:

@@ -37,11 +37,13 @@ from .qarith import (
     is_br,
 )
 
-_SCALE = 62  # fixed-point bits for the certified step accumulator
-# Steps per block of the bulk paths: a block's uint64/int64 temporaries
-# (512 KiB each) fit in L2 together. 2^14..2^16 measure alike; 2^21 blocks
-# were 3-5x slower.
+_SCALE = 64  # fixed-point bits of the certified step accumulator
+# Steps per block of the bulk paths: a block's uint64 temporaries (512 KiB
+# each) fit in L2 together. 2^14..2^16 measure alike; 2^21 blocks were 3-5x
+# slower. A block is also the span over which the kernel's interval widens
+# before the next exact anchor.
 _CHUNK = 1 << 16
+_MAX_STEPS = 1 << 30  # longest walk; it also keeps |S_n| inside int32
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ def walk_spec(theta: QuadraticSurd) -> WalkSpec:
 @dataclass(frozen=True)
 class WalkTrace:
     n: int
-    sums: np.ndarray  # int64, S_1..S_n
+    sums: np.ndarray  # int32, S_1..S_n
     signs: np.ndarray  # int8, the +-1 steps
 
 
@@ -84,45 +86,57 @@ class AbSequences:
 def _indicators(xi: QuadraticSurd, h: int, k: int, n: int, scale: int = _SCALE) -> np.ndarray:
     """int8 flags [{j*xi} < h/k] for j = 1..n, with xi in (0,1).
 
-    With X = floor(xi * 2^scale), the scaled fractional part of j*xi lies in
-    [r, r + j) where r = j*X mod 2^scale. The uint64 product j*X wraps mod
-    2^64, and 2^scale divides 2^64, so masking it gives r exactly. Any j
-    whose interval straddles the cut h*2^scale/k or wraps past 2^scale is
-    decided by exact floors: {j xi} < h/k  <=>  floor(k j xi) - k floor(j xi) < h.
-    The flags are computed one block of `_CHUNK` steps at a time.
+    The fixed point sits in the top `scale` bits of a uint64, in units of
+    2^(64 - scale), so uint64 sums wrap mod 1 by themselves. With
+    X = floor(xi * 2^scale) units, the block of `_CHUNK` steps that starts
+    at step j0 takes one exact anchor A = (floor(j0 xi 2^scale) mod 2^scale)
+    units, and step j0 + t gets r = A + t*X mod 2^64. As j0 xi 2^scale lies
+    in [F, F + 1) and t xi 2^scale in [tX, tX + t), the scaled fractional
+    part of (j0 + t) xi lies in [r, r + (t + 1) units) mod 2^64: an interval
+    at most w = (_CHUNK + 1) units wide, however large j0 is.
+
+    The flag is r < cut, with cut = floor(h 2^scale / k) units, and it is
+    exact unless r lies in [cut - w, cut] mod 2^64 or the interval may wrap
+    past 2^64 (r >= 2^64 - w). Those steps are decided by exact floors:
+    {j xi} < h/k  <=>  floor(k j xi) - k floor(j xi) < h.
     """
-    if n >= 1 << 30:
-        raise ValueError("walk length beyond engine range")
-    x = np.uint64(floor_scaled(1 << scale, xi))
-    mask = np.uint64((1 << scale) - 1)
-    top = np.uint64(1 << scale)
-    cut = np.uint64((h << scale) // k)
-    step = np.uint64(_CHUNK)
+    # constants are Python ints, each converted once: numpy warns when a
+    # uint64 scalar overflows, while uint64 array arithmetic wraps silently
+    one = 1 << 64
+    unit = 1 << (64 - scale)
+    width = min((_CHUNK + 1) * unit, one - 1)
+    cut = (h << scale) // k * unit
+    x = np.uint64(floor_scaled(1 << scale, xi) * unit)
+    low, w, top = np.uint64((cut - width) % one), np.uint64(width), np.uint64(one - width)
+    cut = np.uint64(cut)
+    steps = np.arange(min(n, _CHUNK), dtype=np.uint64) * x  # t*X, wrapping
+    r, dist = np.empty_like(steps), np.empty_like(steps)
     out = np.empty(n, dtype=np.int8)
-    j = np.arange(1, min(n, _CHUNK) + 1, dtype=np.uint64)
     for start in range(0, n, _CHUNK):
-        j = j[: n - start]  # the last block may be short
-        r = j * x
-        r &= mask
-        hi_end = r + j
-        sure_in = hi_end <= cut
-        unsure = ~sure_in & ((r <= cut) | (hi_end >= top))
-        block = out[start : start + len(j)]
-        block[:] = sure_in
-        for i in np.flatnonzero(unsure):
-            m = int(j[i])
-            block[i] = floor_scaled(k * m, xi) - k * floor_scaled(m, xi) < h
-        j += step
+        j0 = start + 1
+        size = min(_CHUNK, n - start)
+        anchor = floor_scaled(j0 << scale, xi) % (1 << scale) * unit
+        rb = np.add(steps[:size], np.uint64(anchor), out=r[:size])
+        block = out[start : start + size]
+        np.less(rb, cut, out=block.view(np.bool_))
+        db = np.subtract(rb, low, out=dist[:size])  # the window [cut - w, cut] becomes [0, w]
+        if db.min() <= w or rb.max() >= top:
+            for i in np.flatnonzero((db <= w) | (rb >= top)):
+                m = j0 + int(i)
+                block[i] = floor_scaled(k * m, xi) - k * floor_scaled(m, xi) < h
     return out
 
 
-def _running_sums(values: np.ndarray, scale: int = 1, offset: int = 0) -> np.ndarray:
-    """int64 running sums of the steps scale*v - offset over int8 values v.
+def _running_sums(values: np.ndarray, dtype, scale: int = 1, offset: int = 0) -> np.ndarray:
+    """Running sums, of the given integer dtype, of the steps scale*v - offset
+    over int8 values v.
 
     Each block's steps are summed in place in the output, with the previous
-    block's last sum carried into its first step.
+    block's last sum carried into its first step. The caller picks a dtype
+    wide enough for every sum: int32 holds a walk's |S_n| <= n < 2^30, while
+    a discrepancy's k*D_m can pass 2^31 for large k and needs int64.
     """
-    out = np.empty(len(values), dtype=np.int64)
+    out = np.empty(len(values), dtype=dtype)
     carry = 0
     for start in range(0, len(values), _CHUNK):
         block = out[start : start + _CHUNK]
@@ -132,7 +146,7 @@ def _running_sums(values: np.ndarray, scale: int = 1, offset: int = 0) -> np.nda
         if offset:
             block -= offset
         block[0] += carry
-        np.cumsum(block, out=block)
+        np.cumsum(block, dtype=dtype, out=block)
         carry = int(block[-1])
     return out
 
@@ -150,17 +164,26 @@ def brute_walk(spec: WalkSpec, n: int, exact: bool = False) -> WalkTrace:
     """Partial sums S_1..S_n by direct evaluation of every step.
 
     floor(j*theta) is even exactly when {j*theta/2} < 1/2, so the fast path
-    reads each step from the rotation's indicator of [0, 1/2).
+    reads each step from the rotation's indicator of [0, 1/2). The sums
+    are int32, which holds every |S_n| <= n below the length bound.
     """
-    if n < 0:
-        raise ValueError("walk length must be >= 0")
+    _check_length(n)
     if exact:
         signs = _signs_exact(spec.theta, n)
     else:
         signs = _indicators(spec.rotation, 1, 2, n)
         signs *= 2  # in place: flags {0, 1} become steps {-1, +1}
         signs -= 1
-    return WalkTrace(n=n, sums=_running_sums(signs), signs=signs)
+    return WalkTrace(n=n, sums=_running_sums(signs, np.int32), signs=signs)
+
+
+def _check_length(n: int) -> None:
+    """Reject a walk length below 0 or at or past the engine's bound,
+    before anything is allocated."""
+    if n < 0:
+        raise ValueError("walk length must be >= 0")
+    if n >= _MAX_STEPS:
+        raise ValueError("walk length beyond engine range")
 
 
 def half_indicator(xi: QuadraticSurd, j: int) -> int:
@@ -334,10 +357,9 @@ def discrepancy(xi: QuadraticSurd, endpoint: Fraction, n: int) -> np.ndarray:
     """k*D_m for m = 1..n, where D_m counts visits of {j*xi} to [0, h/k).
 
     D_m = #{j <= m : {j xi} < h/k} - (h/k) m; the returned values are the
-    exact integers k*D_m.
+    exact integers k*D_m, as int64.
     """
-    if n < 0:
-        raise ValueError("walk length must be >= 0")
+    _check_length(n)
     endpoint = Fraction(endpoint)
     h, k = endpoint.numerator, endpoint.denominator
     if not 0 < endpoint < 1:
@@ -345,7 +367,7 @@ def discrepancy(xi: QuadraticSurd, endpoint: Fraction, n: int) -> np.ndarray:
     if xi.sign() <= 0 or xi >= 1:
         raise ValueError("rotation must lie in (0,1)")
     # k*D_m is the running sum of the steps k*flag - h
-    return _running_sums(_indicators(xi, h, k, n), k, h)
+    return _running_sums(_indicators(xi, h, k, n), np.int64, k, h)
 
 
 # --- identity checks -------------------------------------------------------

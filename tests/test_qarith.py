@@ -377,6 +377,30 @@ def test_cache_same_whatever_the_growth_order():
         assert cf_expand(xi).denominators_through(-1) == []
 
 
+def test_warm_reads_never_reach_extend(monkeypatch):
+    # a read the cache already covers returns it without entering _extend,
+    # as does decoding a word whose constructor grew the cache
+    from walklab import numeration
+
+    cf = cf_expand(SQRT2_M1)
+    q, a = cf.denominators_through(40), cf.quotients_through(40)
+    word = numeration.encode(10**12, cf)
+
+    def no_growth(*args):
+        raise AssertionError("a warm read grew the cache")
+
+    monkeypatch.setattr(ContinuedFraction, "_extend", no_growth)
+    for n in (-1, 0, 39, 40):
+        assert cf.denominators_through(n) is q
+        assert cf.quotients_through(n) is a
+    assert cf.denominators_past(q[-2]) is q
+    assert numeration.decode(word) == 10**12
+    with pytest.raises(AssertionError, match="grew the cache"):
+        cf.denominators_through(41)
+    with pytest.raises(AssertionError, match="grew the cache"):
+        cf.quotients_through(41)
+
+
 def test_convergents_approximate_value():
     # |xi - p/q| < 1/(q q') checked exactly: |q q' xi - p q'| < 1
     for xi in FIXTURES:

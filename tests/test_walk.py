@@ -93,28 +93,133 @@ def test_certified_engine_low_scale_fallback():
     assert flags.tolist() == [int(w) for w in want]
 
 
+def test_step_whose_interval_wraps_past_one():
+    # xi = 1/3 + eps with 3 eps < 2^-64: r = 3 floor(xi 2^scale) units is
+    # 2^64 - 1 units, at the top of the circle and far from the cut 1/2,
+    # while {3 xi} = 3 eps has wrapped to just above 0
+    xi = QuadraticSurd(10**20 - 3, 3, 2, 3 * 10**20)
+    for scale in (64, 24):
+        assert _indicators(xi, 1, 2, 3, scale=scale).tolist() == [1, 0, 1]
+
+
+def fallback_steps(calls, n, scale, k):
+    """The steps m that fell back, read off a log of floor_scaled arguments.
+
+    Asserts the anchored call pattern: one call scales xi, then each block
+    of _CHUNK steps starting at j0 takes one anchor floor(j0 << scale), and
+    each fallback step m of that block one pair floor(k m), floor(m).
+    """
+    assert calls[0] == 1 << scale
+    starts = list(range(1, n + 1, _CHUNK))
+    assert len(starts) == -(-n // _CHUNK)
+    pos, steps = 1, []
+    for j0 in starts:
+        assert calls[pos] == j0 << scale  # the block's one anchor
+        end = pos + 1
+        while end < len(calls) and calls[end] != (j0 + _CHUNK) << scale:
+            end += 1
+        pairs = calls[pos + 1 : end]
+        ms = pairs[1::2]
+        assert pairs[::2] == [k * m for m in ms]
+        assert ms == sorted(ms) and all(j0 <= m < min(j0 + _CHUNK, n + 1) for m in ms)
+        steps += ms
+        pos = end
+    assert pos == len(calls)
+    return steps
+
+
 def test_certified_engine_low_scale_fallback_across_blocks(monkeypatch):
-    # at 20 bits every block past the first falls back often; the flags after
-    # each block boundary must still match exact floors
+    # at 20 bits every block falls back often; the flags after each block
+    # boundary must still match exact floors
     n = 2 * _CHUNK + 7
-    fallbacks = []
+    calls = []
     exact_floor = walk.floor_scaled
 
     def counting_floor(j, xi):
-        fallbacks.append(j)
+        calls.append(j)
         return exact_floor(j, xi)
 
     monkeypatch.setattr(walk, "floor_scaled", counting_floor)
     flags = _indicators(TWO_SQRT2.rotation, 1, 2, n, scale=20)
-    monkeypatch.undo()
-    # one call scales xi, then each fallback step m calls floor(2m xi), floor(m xi)
-    steps = fallbacks[2::2]
-    assert fallbacks[1::2] == [2 * m for m in steps]
+    steps = fallback_steps(calls, n, 20, 2)
     assert sum(m > _CHUNK for m in steps) > 1000
     assert np.array_equal(2 * flags - 1, _signs_exact(TWO_SQRT2.theta, n))
     xi = parse_surd("sqrt3over2")
+    calls.clear()
     flags = _indicators(xi, 1, 3, n, scale=20)
+    monkeypatch.undo()
+    steps = fallback_steps(calls, n, 20, 3)
+    assert sum(m > _CHUNK for m in steps) > 1000
     assert np.array_equal(flags, exact_flags(xi, 1, 3, n))
+
+
+# lengths on and around the kernel's block edges, up to 3 blocks and 5 steps
+EDGE_NS = (0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, 3 * _CHUNK + 5)
+
+
+@st.composite
+def unit_surds(draw):
+    """The fractional part of a random quadratic irrational: a surd in (0, 1)."""
+    d = draw(st.sampled_from([2, 3, 5, 6, 7, 10, 13, 19, 61, 1009]))
+    b = draw(st.integers(-50, 50).filter(bool))
+    return QuadraticSurd(draw(st.integers(-1000, 1000)), b, d, draw(st.integers(1, 1000))).fractional()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    unit_surds(),
+    st.integers(2, 10**6).flatmap(lambda k: st.tuples(st.integers(1, k - 1), st.just(k))),
+    st.one_of(st.sampled_from(EDGE_NS), st.integers(0, EDGE_NS[-1])),
+    st.sampled_from([64, 24, 16]),
+    st.randoms(use_true_random=False),
+)
+def test_indicators_match_exact_floors(xi, endpoint, n, scale, rnd):
+    # a small h/k puts the cut within one window of 0, so the window below
+    # the cut wraps past 2^64; 16 bits send every step to the fallback
+    endpoint = Fraction(*endpoint)
+    h, k = endpoint.numerator, endpoint.denominator
+    flags = _indicators(xi, h, k, n, scale=scale)
+    assert flags.dtype == np.int8 and flags.shape == (n,)
+    edges = {i for e in range(0, n + _CHUNK, _CHUNK) for i in (e - 1, e) if 0 <= i < n}
+    for i in sorted(edges | set(rnd.sample(range(n), min(200, n)))):
+        j = i + 1
+        assert flags[i] == (floor_scaled(k * j, xi) - k * floor_scaled(j, xi) < h), j
+    if scale == walk._SCALE:
+        want = np.cumsum(k * flags.astype(np.int64) - h, dtype=np.int64)
+        assert np.array_equal(discrepancy(xi, endpoint, n), want)
+
+
+def test_running_sums_widths_across_a_block():
+    n = _CHUNK + 5
+    t = brute_walk(SQRT3, n)
+    assert t.sums.dtype == np.int32
+    assert np.array_equal(t.sums, np.cumsum(t.signs, dtype=np.int64))
+    # k*D_m passes 2^31 once k does, so discrepancy keeps int64 sums
+    xi, k = parse_surd("sqrt2m1"), 3 * 2**32 + 1
+    h = k // 2
+    d = discrepancy(xi, Fraction(h, k), n)
+    flags = _indicators(xi, h, k, n)
+    assert d.dtype == np.int64 and np.abs(d).max() > 2**31
+    assert np.array_equal(d, np.cumsum(k * flags.astype(np.int64) - h, dtype=np.int64))
+
+
+def test_length_bound_checked_before_any_allocation(monkeypatch):
+    def spy(*args, **kwargs):
+        raise LookupError("past the guard")
+
+    for name in ("_indicators", "_signs_exact", "_running_sums"):
+        monkeypatch.setattr(walk, name, spy)
+    xi = parse_surd("sqrt2m1")
+    calls = (
+        lambda n: brute_walk(TWO_SQRT2, n),
+        lambda n: brute_walk(TWO_SQRT2, n, exact=True),
+        lambda n: discrepancy(xi, Fraction(1, 2), n),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="walk length beyond engine range"):
+            call(1 << 30)
+        with pytest.raises(LookupError):  # one step shorter passes the guard
+            call((1 << 30) - 1)
 
 
 def exact_flags(xi, h, k, n):
