@@ -22,20 +22,6 @@ from .qarith import (
     parse_surd,
 )
 from .numeration import InvalidDigits, OstrowskiWord, decode, encode, pell_number, validate
-from .walk import (
-    AbSequences,
-    RuleEngine,
-    WalkSpec,
-    WalkTrace,
-    ab_sequences,
-    brute_walk,
-    diff_hits,
-    discrepancy,
-    lemma_checks,
-    records,
-    walk_spec,
-    zeros,
-)
 from .recurrences import half_pell, kotesovec, lune_records, sqrt3_records
 from .automata import (
     AlphabetMismatch,
@@ -62,3 +48,32 @@ from .substitution import (
 )
 
 __version__ = "0.1.0"
+
+# the walk engine imports numpy, so its names load on first access (PEP 562):
+# `import walklab` and the digit-level commands stay free of numpy
+_WALK_NAMES = (
+    "AbSequences",
+    "RuleEngine",
+    "WalkSpec",
+    "WalkTrace",
+    "ab_sequences",
+    "brute_walk",
+    "diff_hits",
+    "discrepancy",
+    "lemma_checks",
+    "records",
+    "walk_spec",
+    "zeros",
+)
+
+
+def __getattr__(name: str):
+    if name in _WALK_NAMES:
+        from . import walk
+
+        return getattr(walk, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *_WALK_NAMES])

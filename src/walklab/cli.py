@@ -8,6 +8,10 @@ Python ints (huge recurrence terms, short record and zero lists) take the
 str() path, which the array kernel is tested against. Exit codes: 0 success,
 1 a verification check failed, 2 usage error (an unwritable output included).
 A reader that closes stdout early ends the output quietly.
+
+numpy, the walk engine and `verify` load only in the commands that use them,
+so encode, decode, dfa, recur and subst start without numpy. The walk names
+the commands call are module globals, bound on first use by `_load_walk`.
 """
 
 from __future__ import annotations
@@ -20,27 +24,48 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import chain
 
-import numpy as np
-
-from . import automata, recurrences, substitution, verify
+from . import automata, recurrences, substitution
 from .numeration import alphabet_size, decode, encode, format_digits, parse_digits
 from .qarith import cf_expand, parse_surd
-from .walk import (
-    _CHUNK,
-    ab_sequences,
-    ab_terms,
-    brute_walk,
-    discrepancy,
-    records,
-    walk_spec,
-    zeros,
+
+_WALK_NAMES = (
+    "walk_spec",
+    "brute_walk",
+    "records",
+    "zeros",
+    "ab_sequences",
+    "ab_terms",
+    "discrepancy",
 )
 
+# the choices of verify --suite and --scale, in verify's key order; kept here
+# so that --help and usage errors need no verify import (a test pins them)
+_SUITES = ("walk", "automata", "substitution", "recurrences")
+_SCALES = ("quick", "full")
 
-def _decimal_digits(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+
+def _load_walk() -> None:
+    """Bind the walk engine's names as module globals. A name already bound
+    (say, a tracer's wrapper) is kept."""
+    from . import walk
+
+    for name in _WALK_NAMES:
+        globals().setdefault(name, getattr(walk, name))
+
+
+def __getattr__(name: str):
+    if name in _WALK_NAMES:
+        _load_walk()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _decimal_digits(mag):
     """ASCII digits of uint64 values, least significant first, as a
     (passes, len) uint8 array ("0" past a value's leading digit), and each
     value's digit count: one plus its nonzero quotients by 10."""
+    import numpy as np
+
     passes = len(str(int(mag.max())))
     digits = np.empty((passes, len(mag)), dtype=np.uint8)
     count = np.ones(len(mag), dtype=np.uint8)
@@ -64,6 +89,10 @@ def _int_rows(columns, sep: str) -> Iterator[str]:
     its "0" to the byte just before the field: the sink, or the sign,
     separator or newline that is written after it.
     """
+    import numpy as np
+
+    from .walk import _CHUNK
+
     for lo in range(0, len(columns[0]), _CHUNK):
         fields = []
         line = np.int64(len(columns))  # k - 1 separators and a newline
@@ -103,8 +132,8 @@ def _emit(chunks: str | Iterable[str], path: str | None) -> None:
 
 
 def _json_ints(values) -> list[int]:
-    """Python ints for json: one tolist() for an array, int() per item otherwise."""
-    return values.tolist() if isinstance(values, np.ndarray) else [int(v) for v in values]
+    """Python ints for json: int() per item of a list, one tolist() for an array."""
+    return [int(v) for v in values] if isinstance(values, list) else values.tolist()
 
 
 def _series_text(values, fmt: str, name: str) -> Iterable[str]:
@@ -114,16 +143,20 @@ def _series_text(values, fmt: str, name: str) -> Iterable[str]:
         return [json.dumps({"name": name, "values": _json_ints(values)}) + "\n"]
     head = ["n,value\n"] if fmt == "csv" else []
     sep = "," if fmt == "csv" else " "
-    if isinstance(values, np.ndarray):
-        columns = [values] if fmt == "plain" else [np.arange(1, len(values) + 1), values]
-        return chain(head, _int_rows(columns, sep))
-    if fmt == "plain":
-        return ["".join(f"{v}\n" for v in values)]
-    return head + ["".join(f"{i}{sep}{v}\n" for i, v in enumerate(values, start=1))]
+    if isinstance(values, list):
+        if fmt == "plain":
+            return ["".join(f"{v}\n" for v in values)]
+        return head + ["".join(f"{i}{sep}{v}\n" for i, v in enumerate(values, start=1))]
+    import numpy as np
+
+    columns = [values] if fmt == "plain" else [np.arange(1, len(values) + 1), values]
+    return chain(head, _int_rows(columns, sep))
 
 
 def _pair_text(a, b, fmt: str, name: str) -> Iterable[str]:
     if fmt == "csv":
+        import numpy as np
+
         rows = min(len(a), len(b))  # a row per index that has both terms
         return chain(["n,a,b\n"], _int_rows([np.arange(1, rows + 1), a[:rows], b[:rows]], ","))
     if fmt == "json":
@@ -221,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
 
     p = sub.add_parser("verify", help="run the named verification checks")
-    p.add_argument("--suite", choices=("all", *verify.SUITES), default="all")
-    p.add_argument("--scale", choices=tuple(verify.SCALES), default="quick")
+    p.add_argument("--suite", choices=("all", *_SUITES), default="all")
+    p.add_argument("--scale", choices=_SCALES, default="quick")
     p.add_argument("--format", choices=("plain", "json"), default="plain")
     p.add_argument("-o", "--output", default=None)
 
@@ -275,6 +308,8 @@ def _run_subst(args) -> str:
 
 
 def _run_verify(args) -> tuple[str, int]:
+    from . import verify
+
     results = verify.run_suite(args.suite, args.scale)
     failed = [r for r in results if not r.ok and not r.conjectural]
     if args.format == "json":
@@ -311,6 +346,8 @@ def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     status = 0
+    if args.command in ("seq", "walk", "records", "zeros", "discrepancy"):
+        _load_walk()
     try:
         if args.command == "seq":
             seqs = ab_terms(walk_spec(args.theta), args.n)

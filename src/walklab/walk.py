@@ -357,7 +357,8 @@ def discrepancy(xi: QuadraticSurd, endpoint: Fraction, n: int) -> np.ndarray:
     """k*D_m for m = 1..n, where D_m counts visits of {j*xi} to [0, h/k).
 
     D_m = #{j <= m : {j xi} < h/k} - (h/k) m; the returned values are the
-    exact integers k*D_m, as int64.
+    exact integers k*D_m, as int64. Raises ValueError when k*n >= 2^63,
+    past which int64 may not hold them.
     """
     _check_length(n)
     endpoint = Fraction(endpoint)
@@ -366,6 +367,12 @@ def discrepancy(xi: QuadraticSurd, endpoint: Fraction, n: int) -> np.ndarray:
         raise ValueError("interval endpoint must be in (0,1)")
     if xi.sign() <= 0 or xi >= 1:
         raise ValueError("rotation must lie in (0,1)")
+    # each step k*flag - h lies in (-k, k), so |k*D_m| < k*m: int64 holds
+    # every sum while k*n < 2^63
+    if k * n >= 1 << 63:
+        raise ValueError(
+            f"k*D_m may overflow int64: endpoint denominator {k} times n = {n} reaches 2^63"
+        )
     # k*D_m is the running sum of the steps k*flag - h
     return _running_sums(_indicators(xi, h, k, n), np.int64, k, h)
 

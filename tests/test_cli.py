@@ -487,6 +487,15 @@ def test_negative_length_usage_error(capsys, argv, message):
     assert captured.out == "" and message in captured.err
 
 
+def test_discrepancy_past_int64_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["discrepancy", "--xi", "sqrt2m1", "--endpoint", f"{2**61}/{2**62 + 1}",
+              "--n", "2000"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "overflow int64" in captured.err
+
+
 def test_discrepancy_zero_length_prints_nothing(capsys):
     assert run_cli(capsys, "discrepancy", "--xi", "sqrt2m1", "--n", "0") == (0, "")
 

@@ -203,6 +203,32 @@ def test_running_sums_widths_across_a_block():
     assert np.array_equal(d, np.cumsum(k * flags.astype(np.int64) - h, dtype=np.int64))
 
 
+def test_discrepancy_refuses_sums_past_int64(monkeypatch):
+    xi = parse_surd("sqrt2m1")
+    # 2^61/(2^62+1) over 2000 steps: the int64 sums used to wrap from m = 204
+    with pytest.raises(ValueError, match="overflow int64"):
+        discrepancy(xi, Fraction(2**61, 2**62 + 1), 2000)
+    # k > 2^63 used to raise numpy's OverflowError from the scaling
+    with pytest.raises(ValueError, match="overflow int64"):
+        discrepancy(xi, Fraction(1, 2**64 + 1), 10)
+    # the guard is k*n >= 2^63, checked before any array is made
+    monkeypatch.setattr(walk, "_indicators", lambda *args: pytest.fail("past the guard"))
+    with pytest.raises(ValueError, match="overflow int64"):
+        discrepancy(xi, Fraction(1, 2**53), 2**10)
+    monkeypatch.setattr(walk, "_indicators", lambda *args: (_ for _ in ()).throw(LookupError))
+    with pytest.raises(LookupError):
+        discrepancy(xi, Fraction(1, 2**53), 2**10 - 1)
+
+
+def test_discrepancy_large_k_in_range_is_exact():
+    xi, n = parse_surd("sqrt2m1"), 2000
+    h, k = 2**39 + 7, 2**40 + 1
+    counts = np.cumsum(exact_flags(xi, h, k, n), dtype=np.int64).tolist()
+    want = [k * c - h * m for m, c in enumerate(counts, start=1)]
+    assert max(map(abs, want)) > 2**41
+    assert discrepancy(xi, Fraction(h, k), n).tolist() == want
+
+
 def test_length_bound_checked_before_any_allocation(monkeypatch):
     def spy(*args, **kwargs):
         raise LookupError("past the guard")
