@@ -3,12 +3,12 @@
 Machines read one digit per step, least significant digit first (the order
 of `OstrowskiWord.digits` and of `parse_digits`), and classify integers by
 their digit expansions. State 0 is the start and the last state is the
-absorbing dead state. The zero-set and record-set machines of a BR walk
-come from one breadth-first builder, `_build`, over (digit position,
-previous digit zero, tracker) keys; the two differ only in their tracker.
-The builder folds digit validity into the machine, so an input that is not
-a well-formed expansion lands in the dead state and is reported as
-`invalid` rather than `reject`.
+absorbing dead state. The validity machine of any base and the zero-set
+and record-set machines of a BR walk come from one breadth-first builder,
+`_build`, over (digit position, previous digit zero, tracker) keys; they
+differ only in their tracker, and each folds digit validity in, so an input
+that is not a well-formed expansion is `invalid` rather than `reject`.
+`equivalent` and `canonical_words` prove facts on the machines themselves.
 
 State layout is deterministic (breadth-first discovery order), which keeps
 DOT exports byte-stable for golden tests.
@@ -117,7 +117,7 @@ def _digit_stream(cf: ContinuedFraction) -> tuple[list[int], int]:
     return [cf.quotient(p + 1) for p in range(unroll + length)], unroll
 
 
-def _build(cf: ContinuedFraction, kind: str, start_track, track_step, track_accepts) -> DigitDfa:
+def _build(cf: ContinuedFraction, start_track, track_step, track_accepts) -> DigitDfa:
     """Breadth-first construction over (position, prev-digit-zero, tracker).
 
     A digit g is valid at a position with cap a_{p+1} unless g > cap, or
@@ -125,8 +125,6 @@ def _build(cf: ContinuedFraction, kind: str, start_track, track_step, track_acce
     the dead row. `track_step(cap, pos, track, g)` advances the tracker over
     a valid digit, and `track_accepts(track)` decides acceptance.
     """
-    if not is_br(cf):
-        raise NotBrNumber(f"{kind} automaton requires a BR base")
     caps, loop_to = _digit_stream(cf)
     alphabet = alphabet_size(cf)
     order = [(0, True, start_track)]
@@ -152,17 +150,25 @@ def _build(cf: ContinuedFraction, kind: str, start_track, track_step, track_acce
     return DigitDfa(transitions=table + ((dead,) * alphabet,), accepting=accepting)
 
 
+def build_validity_dfa(cf: ContinuedFraction) -> DigitDfa:
+    """lsd machine accepting exactly the words that meet digit conditions
+    (a)-(c) over any base: the builder with a constant tracker."""
+    return _build(cf, None, lambda cap, pos, track, g: None, lambda track: True)
+
+
 def build_zero_dfa(cf: ContinuedFraction) -> DigitDfa:
     """lsd machine for the zero set of the doubled walk over a BR base.
 
     Accepts exactly the well-formed expansions whose even-position digits are
     all zero; the walk value at such an index is zero and conversely.
     """
+    if not is_br(cf):
+        raise NotBrNumber("zero automaton requires a BR base")
 
     def step(cap: int, pos: int, in_set: bool, g: int) -> bool:
         return in_set and (g == 0 or pos % 2 == 1)
 
-    return _build(cf, "zero", True, step, lambda in_set: in_set)
+    return _build(cf, True, step, lambda in_set: in_set)
 
 
 # record tracker values
@@ -178,6 +184,8 @@ def build_record_dfa(cf: ContinuedFraction) -> DigitDfa:
     stay exact while even digits equal half the cap, then one strict drop
     (the leading digit) forces every later digit to zero.
     """
+    if not is_br(cf):
+        raise NotBrNumber("record automaton requires a BR base")
 
     def step(cap: int, pos: int, track: int, g: int) -> int:
         if track == _OUT:
@@ -191,7 +199,7 @@ def build_record_dfa(cf: ContinuedFraction) -> DigitDfa:
             return _EXACT
         return _SLACK if g < half else _OUT
 
-    return _build(cf, "record", _EXACT, step, lambda track: track != _OUT)
+    return _build(cf, _EXACT, step, lambda track: track != _OUT)
 
 
 # --- hand-written fixtures -------------------------------------------------
@@ -258,6 +266,58 @@ def mismatch_at(dfa: DigitDfa, n: int, word: OstrowskiWord, expected: bool) -> M
     if (verdict == ACCEPT) != expected or verdict == INVALID:
         return Mismatch(n=n, expected=expected, verdict=verdict)
     return None
+
+
+# --- machine algebra ----------------------------------------------------------
+
+
+def _verdict(dfa: DigitDfa, state: int) -> str:
+    return INVALID if state == dfa.dead else ACCEPT if state in dfa.accepting else REJECT
+
+
+def equivalent(m1: DigitDfa, m2: DigitDfa, base: ContinuedFraction) -> tuple[int, ...] | None:
+    """Shortest lsd canonical word of the base on which the two machines'
+    `run` verdicts differ, or None if there is none.
+
+    Breadth-first search over the product of both machines with the base's
+    validity machine, which keeps it to valid words. A canonical word is
+    empty or ends in a nonzero digit, so verdicts are compared only there.
+    """
+    valid = build_validity_dfa(base)
+    if min(m1.alphabet, m2.alphabet) < valid.alphabet:
+        raise AlphabetMismatch(f"a machine is narrower than alphabet 0..{valid.alphabet - 1}")
+    if _verdict(m1, 0) != _verdict(m2, 0):
+        return ()
+    order = [(0, 0, 0)]
+    words = {order[0]: ()}
+    for s, t, v in order:  # order grows as product states are found
+        prefix = words[s, t, v]
+        for g, w in enumerate(valid.transitions[v]):
+            if w == valid.dead:
+                continue
+            nxt = (m1.transitions[s][g], m2.transitions[t][g], w)
+            if g and _verdict(m1, nxt[0]) != _verdict(m2, nxt[1]):
+                return prefix + (g,)
+            if nxt not in words:
+                words[nxt] = prefix + (g,)
+                order.append(nxt)
+    return None
+
+
+def canonical_words(dfa: DigitDfa, places: int) -> int:
+    """How many canonical words of at most `places` digits the machine
+    accepts; over the validity machine, q_places (one per value below it)."""
+    counts = [1] + [0] * dfa.dead
+    total = int(0 in dfa.accepting)
+    for _ in range(places):
+        grown = [0] * dfa.n_states
+        for state, count in enumerate(counts):
+            for g, target in enumerate(dfa.transitions[state]):
+                grown[target] += count
+                if g and target in dfa.accepting:
+                    total += count
+        counts = grown
+    return total
 
 
 # --- rendering ---------------------------------------------------------------

@@ -1,19 +1,18 @@
 """Named verification checks behind the `verify` CLI command.
 
 Each check re-derives a claim from the walk oracle and compares it with the
-closed-form route (recurrence, automaton, substitution or digit theorem).
+closed-form route (recurrence, automaton, substitution or digit theorem), or
+proves it on the machines (`automata.equivalent`, `automata.canonical_words`).
 Checks marked conjectural report their status but never fail the run: they
 cover statements that are experimental rather than proved.
 
-Two scales are built in. `quick` keeps walks to 1e5 and automata sweeps to
-1e4 and takes about 2 s; `full` runs the acceptance-level bounds and takes
-about 11 s (both measured on a 2-vCPU x86-64 host).
+Two scales: `quick` keeps walks to 1e5 and automata sweeps to 1e4 (~1 s);
+`full` runs the acceptance-level bounds (~5 s; wall time, 2-vCPU x86-64).
 """
 
 from __future__ import annotations
 
 import random
-import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import automata, recurrences, substitution
-from .numeration import decode, encode, format_digits, parse_digits, validate
+from .numeration import decode, encode, validate
 from .qarith import cf_expand, noble_mean_adjusted, parse_surd
 from .walk import (
     RuleEngine,
@@ -59,7 +58,6 @@ class Bounds:
     diff_kmax: int
     lemma_depth: int
     subst_prefix: int
-    uniqueness: int
 
 
 SCALES = {
@@ -72,7 +70,6 @@ SCALES = {
         diff_kmax=11,
         lemma_depth=5,
         subst_prefix=10**3,
-        uniqueness=10**3,
     ),
     "full": Bounds(
         walk=10**6,
@@ -83,15 +80,12 @@ SCALES = {
         diff_kmax=20,
         lemma_depth=7,
         subst_prefix=10**4,
-        uniqueness=10**4,
     ),
 }
 
 TABLE1_A = [1, 3, 5, 6, 8, 10, 13, 15, 17, 18, 20, 22, 25, 27, 29, 30, 32, 34]
 TABLE1_B = [2, 4, 7, 9, 11, 12, 14, 16, 19, 21, 23, 24, 26, 28, 31, 33, 36, 38]
 SQRT3_RECORDS = [1, 2, 3, 7, 18, 33, 48, 104, 257, 466, 675, 1455, 3586]
-ZEROS_2SQRT2 = [0, 2, 4, 12, 14, 16, 24, 26, 28, 70, 72, 74, 82, 84, 86]
-ZERO_WORD_RE = re.compile(r"^((10|20)(00|10|20)*)?$")
 
 BR_FIXTURES = ("sqrt2m1", "sqrt2m1over2", "xi4")
 
@@ -256,45 +250,20 @@ def check_discrepancy(bounds: Bounds) -> CheckResult:
 # --- automata suite ----------------------------------------------------------
 
 
+def _fixture_problems(name: str, build) -> list[str]:
+    """The shortest word on which a hand-written machine and the built one
+    differ over Pell; none when the two are proved equal."""
+    base = cf_expand(parse_surd("sqrt2m1"))
+    word = automata.equivalent(automata.hardcoded_fixture(name), build(base), base)
+    if word is None:
+        return []
+    return [f"{name} differs from {build.__name__} at lsd word {word} (n = {decode(word, base)})"]
+
+
 def check_zeros_language(bounds: Bounds) -> CheckResult:
-    spec = _spec("2sqrt2")
-    base = cf_expand(parse_surd("sqrt2m1"))
-    bound = bounds.automata
-    zero_set = set(zeros(spec, bound))
-    problems = []
-    for n in sorted(zero_set):
-        if not ZERO_WORD_RE.match(format_digits(encode(n, base).digits)):
-            problems.append(f"zero {n} encodes outside the language")
-            break
-    words = _language_words(bound)
-    if words != zero_set:
-        problems.append("language enumeration differs from zero set")
-    return _result(
-        "automata.zeros_language",
-        not problems,
-        "; ".join(problems) or f"{len(zero_set)} zeros to {bound} = (10|20)(00|10|20)*",
-    )
-
-
-def _language_words(bound: int) -> set[int]:
-    """Values <= bound of the msd language {eps} + (10|20)(00|10|20)*."""
-    base = cf_expand(parse_surd("sqrt2m1"))
-    values = {0}
-    frontier = []
-    for head in ("10", "20"):
-        v = decode(parse_digits(head), base)
-        if v <= bound:
-            values.add(v)
-            frontier.append(head)
-    while frontier:
-        word = frontier.pop()
-        for tail in ("00", "10", "20"):
-            grown = word + tail
-            v = decode(parse_digits(grown), base)
-            if v <= bound:
-                values.add(v)
-                frontier.append(grown)
-    return values
+    problems = _fixture_problems("zeros_2sqrt2", automata.build_zero_dfa)
+    detail = "proved: (10|20)(00|10|20)* machine = build_zero_dfa(sqrt2m1)"
+    return _result("automata.zeros_language", not problems, "; ".join(problems) or detail)
 
 
 def check_br_digit_theorems(bounds: Bounds) -> CheckResult:
@@ -305,13 +274,8 @@ def check_br_digit_theorems(bounds: Bounds) -> CheckResult:
         spec = walk_spec(parse_surd(theta))
         zero_set = set(zeros(spec, bound))
         rec_set = set(records(spec, bound))
-        machines = [
-            (build.__name__, build(base), target)
-            for build, target in (
-                (automata.build_zero_dfa, zero_set),
-                (automata.build_record_dfa, rec_set),
-            )
-        ]
+        builds = (automata.build_zero_dfa, automata.build_record_dfa)
+        machines = [(b(base), t) for b, t in zip(builds, (zero_set, rec_set))]
         # one encode per n: the digit rules stop at their first failure, and
         # each machine keeps its first mismatch
         rule_failure = None
@@ -323,22 +287,18 @@ def check_br_digit_theorems(bounds: Bounds) -> CheckResult:
                     rule_failure = f"{base_name}: zero digit rule fails at {n}"
                 elif _record_digits(word.digits, base) != (n in rec_set):
                     rule_failure = f"{base_name}: record digit rule fails at {n}"
-            for k, (_, dfa, target) in enumerate(machines):
+            for k, (dfa, target) in enumerate(machines):
                 if mismatches[k] is None:
                     mismatches[k] = automata.mismatch_at(dfa, n, word, n in target)
             if rule_failure and all(mismatches):
                 break
         if rule_failure:
             problems.append(rule_failure)
-        problems += [
-            f"{base_name} {name}: {mismatch}"
-            for (name, _, _), mismatch in zip(machines, mismatches)
-            if mismatch
-        ]
+        problems += [f"{base_name} {b.__name__}: {m}" for b, m in zip(builds, mismatches) if m]
     return _result(
         "automata.br_digit_theorems",
         not problems,
-        "; ".join(problems) or f"digit rules + automata on two bases to {bound}",
+        "; ".join(problems) or f"sampled: digit rules + automata on two bases to {bound}",
     )
 
 
@@ -361,28 +321,24 @@ def _record_digits(digits, base) -> bool:
 def check_fixtures(bounds: Bounds) -> CheckResult:
     bound = min(bounds.automata, 10**4)
     base = cf_expand(parse_surd("sqrt2m1"))
-    spec2 = _spec("sqrt2")
-    spec22 = _spec("2sqrt2")
-    targets = {
-        "records_sqrt2": set(records(spec2, bound)),
-        "records_2sqrt2": set(records(spec22, bound)),
-        "zeros_2sqrt2": set(zeros(spec22, bound)),
-    }
-    problems = []
-    for name, target in targets.items():
-        dfa = automata.hardcoded_fixture(name)
-        mismatch = automata.equiv_oracle(dfa, lambda n: n in target, base, bound)
-        if mismatch:
-            problems.append(f"{name}: {mismatch}")
+    problems = _fixture_problems("records_2sqrt2", automata.build_record_dfa)
+    # sqrt2's rotation is not BR, so no built machine exists to prove it against
+    target = set(records(_spec("sqrt2"), bound))
+    dfa = automata.hardcoded_fixture("records_sqrt2")
+    mismatch = automata.equiv_oracle(dfa, lambda n: n in target, base, bound)
+    if mismatch:
+        problems.append(f"records_sqrt2: {mismatch}")
     return _result(
         "automata.fixtures",
         not problems,
-        "; ".join(problems) or f"three hand-written machines match brute sets to {bound}",
+        "; ".join(problems)
+        or f"proved: records_2sqrt2 = build_record_dfa(sqrt2m1); "
+        f"records_sqrt2 matches brute records to {bound}",
     )
 
 
 def check_numeration(bounds: Bounds) -> CheckResult:
-    problems = []
+    problems, proved = [], []
     for base_name in ("sqrt2m1", "sqrt2m1over2", "sqrt3over2"):
         base = cf_expand(parse_surd(base_name))
         for n in range(bounds.automata + 1):
@@ -396,42 +352,26 @@ def check_numeration(bounds: Bounds) -> CheckResult:
             if decode(word) != n:
                 problems.append(f"{base_name}: roundtrip fails at {n}")
                 break
+        # unique below q_L, the largest denominator <= bound + 1: a canonical word
+        # with a digit at place L or above is worth q_L or more, so the loop maps
+        # 0..q_L-1 one-to-one into the canonical words of at most L digits, and a
+        # count of exactly q_L such words leaves none without a value
+        dens = base.denominators_up_to(bounds.automata + 1)
+        places, top = len(dens) - 1, dens[-1]
+        count = automata.canonical_words(automata.build_validity_dfa(base), places)
+        if count != top:
+            problems.append(f"{base_name}: {count} canonical words below q_{places} = {top}")
+        proved.append(str(top))
     pell = cf_expand(parse_surd("sqrt2m1"))
     if str(encode(69, pell)) != "20201":
         problems.append("69 does not encode to 20201")
-    extra = _uniqueness_violations(pell, bounds.uniqueness)
-    if extra:
-        problems.append(f"uniqueness fails at {extra}")
     return _result(
         "automata.numeration",
         not problems,
         "; ".join(problems)
-        or f"roundtrip to {bounds.automata} on three bases; unique to {bounds.uniqueness}",
+        or f"roundtrip to {bounds.automata} on three bases; "
+        f"proved unique below q_L = {', '.join(proved)}",
     )
-
-
-def _uniqueness_violations(base, bound: int):
-    """Exhaustively count valid expansions per value; returns first duplicate."""
-    dens = base.denominators_up_to(bound)
-    counts = np.zeros(bound + 1, dtype=np.int32)
-
-    def rec(i, total, digits):
-        if total > bound:
-            return
-        if i == len(dens):
-            if not digits or digits[-1] != 0:
-                if validate(digits, base):
-                    counts[total] += 1
-            return
-        cap = base.quotient(i + 1) - (1 if i == 0 else 0)
-        for b in range(cap + 1):
-            if total + b * dens[i] > bound:
-                break
-            rec(i + 1, total + b * dens[i], digits + [b])
-
-    rec(0, 0, [])
-    bad = np.nonzero(counts != 1)[0]
-    return int(bad[0]) if len(bad) else None
 
 
 # --- substitution suite -------------------------------------------------------

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import random
 import re
 
@@ -14,15 +15,25 @@ from walklab.automata import (
     DigitDfa,
     UnknownFixture,
     build_record_dfa,
+    build_validity_dfa,
     build_zero_dfa,
+    canonical_words,
     equiv_oracle,
+    equivalent,
     hardcoded_fixture,
     _digit_stream,
     run,
     to_dot,
 )
 from walklab.cli import main
-from walklab.numeration import alphabet_size, decode, encode, format_digits, parse_digits
+from walklab.numeration import (
+    alphabet_size,
+    decode,
+    encode,
+    format_digits,
+    parse_digits,
+    validate,
+)
 from walklab.qarith import NotIrrational, QuadraticSurd, cf_expand, is_br, parse_surd
 from walklab.walk import NotBrNumber, records, walk_spec, zeros
 
@@ -138,11 +149,16 @@ def test_alphabet_mismatch(zero_dfa):
 
 
 def test_builders_require_br():
-    sqrt3half = cf_expand(parse_surd("sqrt3over2"))
-    with pytest.raises(NotBrNumber):
-        build_zero_dfa(sqrt3half)
-    with pytest.raises(NotBrNumber):
-        build_record_dfa(sqrt3half)
+    for name in ("sqrt3over2", "golden"):
+        base = cf_expand(parse_surd(name))
+        with pytest.raises(NotBrNumber, match="^zero automaton requires a BR base$"):
+            build_zero_dfa(base)
+        with pytest.raises(NotBrNumber, match="^record automaton requires a BR base$"):
+            build_record_dfa(base)
+        # the validity machine takes any base
+        valid = build_validity_dfa(base)
+        assert valid.alphabet == alphabet_size(base)
+        assert valid.accepting == frozenset(range(valid.dead))
 
 
 def test_totality_and_determinism(zero_dfa, record_dfa):
@@ -223,6 +239,93 @@ def test_fixture_matches_printed_regex(name, printed):
 def test_fixture_unknown_name():
     with pytest.raises(UnknownFixture):
         hardcoded_fixture("records_sqrt17")
+
+
+# --- machine algebra ------------------------------------------------------------
+
+
+def _redirect(dfa, state, digit, target):
+    """The machine with one transition pointed elsewhere."""
+    rows = [list(row) for row in dfa.transitions]
+    rows[state][digit] = target
+    return DigitDfa(transitions=tuple(map(tuple, rows)), accepting=dfa.accepting)
+
+
+@pytest.mark.parametrize("name", ["sqrt2m1", "sqrt2m1over2", "sqrt3over2"])
+def test_validity_dfa_agrees_with_validate(name):
+    # the numeration check counts words with the machine and validates them
+    # with `validate`; the two must call the same words valid
+    base = cf_expand(parse_surd(name))
+    valid = build_validity_dfa(base)
+    for places in range(6):
+        for word in itertools.product(range(valid.alphabet), repeat=places):
+            verdict = run(valid, word)
+            assert verdict != REJECT
+            assert (verdict == ACCEPT) == bool(validate(word, base)), word
+
+
+@pytest.mark.parametrize("name", ["sqrt2m1", "sqrt2m1over2", "sqrt3over2", "golden", "xi4"])
+def test_canonical_words_of_the_validity_machine_are_the_denominators(name):
+    base = cf_expand(parse_surd(name))
+    valid = build_validity_dfa(base)
+    dens = base.denominators_through(24)
+    assert [canonical_words(valid, places) for places in range(25)] == dens
+
+
+@pytest.mark.parametrize("base_name, theta", [("sqrt2m1", "2sqrt2"), ("sqrt2m1over2", "sqrt2m1")])
+def test_canonical_words_count_zeros_and_records(base_name, theta):
+    # the words of at most L digits are the values below q_L
+    base = cf_expand(parse_surd(base_name))
+    spec = walk_spec(parse_surd(theta))
+    for places in range(1, 9):
+        below = base.denominators_through(places)[places]
+        zs = [z for z in zeros(spec, below) if z < below]
+        rs = [r for r in records(spec, below) if r < below]
+        assert canonical_words(build_zero_dfa(base), places) == len(zs)
+        assert canonical_words(build_record_dfa(base), places) == len(rs)
+
+
+@pytest.mark.parametrize(
+    "fixture, build",
+    [("zeros_2sqrt2", build_zero_dfa), ("records_2sqrt2", build_record_dfa)],
+)
+def test_pell_fixtures_are_equivalent_to_the_builders(fixture, build):
+    assert equivalent(hardcoded_fixture(fixture), build(PELL), PELL) is None
+    assert equivalent(build(PELL), hardcoded_fixture(fixture), PELL) is None
+
+
+def test_equivalent_returns_the_shortest_counterexample(zero_dfa, record_dfa):
+    # state 2 of the zero fixture has read 00; sending its digit 1 to the
+    # accepting state 3 admits msd 100, n = 5, which is not a zero
+    broken = _redirect(hardcoded_fixture("zeros_2sqrt2"), 2, 1, 3)
+    word = equivalent(broken, zero_dfa, PELL)
+    assert word == (0, 0, 1) and decode(word, PELL) == 5
+    assert run(broken, word) == ACCEPT and run(zero_dfa, word) == REJECT
+    # 1 is a record and not a zero; the empty word is both
+    assert equivalent(zero_dfa, record_dfa, PELL) == (1,)
+    # the machine of a non-BR rotation's records differs on msd 11, n = 3
+    assert equivalent(hardcoded_fixture("records_sqrt2"), record_dfa, PELL) == (1, 1)
+
+
+def test_equivalent_compares_verdicts_on_canonical_words_only(zero_dfa):
+    # state 2 of the zero fixture is entered only by a 0 digit, so accepting
+    # it changes the verdict on "00" and on no canonical word
+    fixture = hardcoded_fixture("zeros_2sqrt2")
+    padded = DigitDfa(fixture.transitions, fixture.accepting | {2})
+    assert run(padded, [0, 0]) == ACCEPT and run(fixture, [0, 0]) == REJECT
+    assert equivalent(padded, zero_dfa, PELL) is None
+    # the empty word: a machine that rejects it differs at ()
+    rejecting = DigitDfa(zero_dfa.transitions, zero_dfa.accepting - {0})
+    assert equivalent(rejecting, zero_dfa, PELL) == ()
+    # an `invalid` verdict differs from `reject` on a valid word
+    dead = _redirect(zero_dfa, 0, 1, zero_dfa.dead)
+    assert equivalent(dead, zero_dfa, PELL) == (1,)
+
+
+def test_equivalent_needs_the_base_alphabet(zero_dfa):
+    xi4 = cf_expand(parse_surd("xi4"))
+    with pytest.raises(AlphabetMismatch, match="narrower than alphabet 0..4"):
+        equivalent(zero_dfa, build_zero_dfa(xi4), xi4)
 
 
 # --- DOT export ----------------------------------------------------------------

@@ -119,6 +119,21 @@ def test_traced_names_resolve_to_their_layers(unbound_cli):
     assert unbound_cli.records is walk.records
 
 
+# the names the traced `cli` run also patches on verify (`Cli.targets` in
+# benchmarks/worker.py); a name verify stops importing crashes that run
+VERIFY_TRACED = {
+    "walk_spec": "walklab.walk", "brute_walk": "walklab.walk", "records": "walklab.walk",
+    "zeros": "walklab.walk", "ab_sequences": "walklab.walk", "discrepancy": "walklab.walk",
+    "lemma_checks": "walklab.walk", "encode": "walklab.numeration",
+    "decode": "walklab.numeration", "cf_expand": "walklab.qarith",
+}
+
+
+def test_verify_traced_names_resolve_to_their_layers():
+    for name, module in VERIFY_TRACED.items():
+        assert getattr(verify, name).__module__ == module, name
+
+
 def cli_out(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
