@@ -80,8 +80,9 @@ def _decimal_digits(mag):
 
 
 def _int_rows(columns, sep: str) -> Iterator[str]:
-    """Decimal text of equal-length integer arrays: one line per row, the
-    row's values joined by sep. Yields one str per block of _CHUNK rows.
+    """Decimal text of equal-length integer arrays or ranges: one line per
+    row, the row's values joined by sep. Yields one str per block of _CHUNK
+    rows; a range column becomes an array one block at a time.
 
     A block is laid out in one uint8 buffer whose byte 0 is a sink. Line ends
     come from one cumsum of the field widths, and each field is filled from
@@ -97,7 +98,11 @@ def _int_rows(columns, sep: str) -> Iterator[str]:
         fields = []
         line = np.int64(len(columns))  # k - 1 separators and a newline
         for col in columns:
-            v = np.asarray(col[lo : lo + _CHUNK], dtype=np.int64)
+            part = col[lo : lo + _CHUNK]
+            if isinstance(part, range):  # an index column, made one block at a time
+                v = np.arange(part.start, part.stop, dtype=np.int64)
+            else:
+                v = np.asarray(part, dtype=np.int64)
             neg = v < 0
             digits, count = _decimal_digits(np.abs(v).view(np.uint64))  # exact for -2^63
             fields.append((neg, digits, count))
@@ -147,18 +152,14 @@ def _series_text(values, fmt: str, name: str) -> Iterable[str]:
         if fmt == "plain":
             return ["".join(f"{v}\n" for v in values)]
         return head + ["".join(f"{i}{sep}{v}\n" for i, v in enumerate(values, start=1))]
-    import numpy as np
-
-    columns = [values] if fmt == "plain" else [np.arange(1, len(values) + 1), values]
+    columns = [values] if fmt == "plain" else [range(1, len(values) + 1), values]
     return chain(head, _int_rows(columns, sep))
 
 
 def _pair_text(a, b, fmt: str, name: str) -> Iterable[str]:
     if fmt == "csv":
-        import numpy as np
-
         rows = min(len(a), len(b))  # a row per index that has both terms
-        return chain(["n,a,b\n"], _int_rows([np.arange(1, rows + 1), a[:rows], b[:rows]], ","))
+        return chain(["n,a,b\n"], _int_rows([range(1, rows + 1), a[:rows], b[:rows]], ","))
     if fmt == "json":
         return [json.dumps({"name": name, "a": _json_ints(a), "b": _json_ints(b)}) + "\n"]
     raise ValueError("a/b emission needs --format csv or json")

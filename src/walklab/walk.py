@@ -13,10 +13,14 @@ The walk is S_n = sum_{j<=n} (-1)^floor(j*theta). Two engines compute it:
 The brute engine is the oracle: everything the rules engine, the digit
 automata, and the recurrence generators claim is cross-checked against it.
 
-The bulk paths (the indicator kernel, the running sums of `brute_walk` and
-`discrepancy`, and the record scan) work one block of `_CHUNK` steps at a
-time, carrying state from block to block, so their temporaries stay in the
-L2 cache instead of streaming whole-length arrays through memory.
+The bulk paths work one block of `_CHUNK` steps at a time, carrying state
+from block to block, so their temporaries stay in the L2 cache instead of
+streaming whole-length arrays through memory. `brute_walk` and
+`discrepancy` return whole arrays, so the kernel writes each block in place
+into the full-length output. `records`, `zeros`, `ab_sequences` and
+`ab_terms` given a spec read the walk straight from the kernel, one block
+at a time, and never build a trace: beyond their outputs they use O(block)
+memory. Given a trace, they read it block by block.
 """
 
 from __future__ import annotations
@@ -83,17 +87,25 @@ class AbSequences:
 # --- certified indicator kernel -------------------------------------------
 
 
-def _indicators(xi: QuadraticSurd, h: int, k: int, n: int, scale: int = _SCALE) -> np.ndarray:
-    """int8 flags [{j*xi} < h/k] for j = 1..n, with xi in (0,1).
+def _indicator_blocks(
+    xi: QuadraticSurd, h: int, k: int, n: int, out: np.ndarray | None = None, scale: int = _SCALE
+):
+    """Yield (start, flags): int8 flags [{j*xi} < h/k] for the block of steps
+    j = start + 1 .. start + len(flags), one block of `_CHUNK` steps at a
+    time, for j = 1..n, with xi in (0,1).
+
+    Given a full-length int8 `out`, each block is written in place into it
+    and the yielded flags are views of it. Otherwise every block is written
+    into one reused `_CHUNK` buffer, which the next block overwrites.
 
     The fixed point sits in the top `scale` bits of a uint64, in units of
     2^(64 - scale), so uint64 sums wrap mod 1 by themselves. With
-    X = floor(xi * 2^scale) units, the block of `_CHUNK` steps that starts
-    at step j0 takes one exact anchor A = (floor(j0 xi 2^scale) mod 2^scale)
-    units, and step j0 + t gets r = A + t*X mod 2^64. As j0 xi 2^scale lies
-    in [F, F + 1) and t xi 2^scale in [tX, tX + t), the scaled fractional
-    part of (j0 + t) xi lies in [r, r + (t + 1) units) mod 2^64: an interval
-    at most w = (_CHUNK + 1) units wide, however large j0 is.
+    X = floor(xi * 2^scale) units, the block that starts at step j0 takes
+    one exact anchor A = (floor(j0 xi 2^scale) mod 2^scale) units, and step
+    j0 + t gets r = A + t*X mod 2^64. As j0 xi 2^scale lies in [F, F + 1)
+    and t xi 2^scale in [tX, tX + t), the scaled fractional part of
+    (j0 + t) xi lies in [r, r + (t + 1) units) mod 2^64: an interval at most
+    w = (_CHUNK + 1) units wide, however large j0 is.
 
     The flag is r < cut, with cut = floor(h 2^scale / k) units, and it is
     exact unless r lies in [cut - w, cut] mod 2^64 or the interval may wrap
@@ -111,20 +123,28 @@ def _indicators(xi: QuadraticSurd, h: int, k: int, n: int, scale: int = _SCALE) 
     cut = np.uint64(cut)
     steps = np.arange(min(n, _CHUNK), dtype=np.uint64) * x  # t*X, wrapping
     r, dist = np.empty_like(steps), np.empty_like(steps)
-    out = np.empty(n, dtype=np.int8)
+    flags = np.empty(len(steps), dtype=np.int8) if out is None else None
     for start in range(0, n, _CHUNK):
         j0 = start + 1
         size = min(_CHUNK, n - start)
         anchor = floor_scaled(j0 << scale, xi) % (1 << scale) * unit
         rb = np.add(steps[:size], np.uint64(anchor), out=r[:size])
-        block = out[start : start + size]
+        block = flags[:size] if out is None else out[start : start + size]
         np.less(rb, cut, out=block.view(np.bool_))
         db = np.subtract(rb, low, out=dist[:size])  # the window [cut - w, cut] becomes [0, w]
         if db.min() <= w or rb.max() >= top:
             for i in np.flatnonzero((db <= w) | (rb >= top)):
                 m = j0 + int(i)
                 block[i] = floor_scaled(k * m, xi) - k * floor_scaled(m, xi) < h
-    return out
+        yield start, block
+
+
+def _carry_sums(block: np.ndarray, carry: int) -> int:
+    """Running sums of a block of steps, in place, continued from the sum
+    `carry` before it; returns the block's last sum."""
+    block[0] += carry
+    np.cumsum(block, dtype=block.dtype, out=block)
+    return int(block[-1])
 
 
 def _running_sums(values: np.ndarray, dtype, scale: int = 1, offset: int = 0) -> np.ndarray:
@@ -145,9 +165,16 @@ def _running_sums(values: np.ndarray, dtype, scale: int = 1, offset: int = 0) ->
             block *= scale
         if offset:
             block -= offset
-        block[0] += carry
-        np.cumsum(block, dtype=dtype, out=block)
-        carry = int(block[-1])
+        carry = _carry_sums(block, carry)
+    return out
+
+
+def _indicators(xi: QuadraticSurd, h: int, k: int, n: int, scale: int = _SCALE) -> np.ndarray:
+    """The kernel's flags for j = 1..n as one int8 array, each block written
+    in place: the whole-array form of `brute_walk` and `discrepancy`."""
+    out = np.empty(n, dtype=np.int8)
+    for _ in _indicator_blocks(xi, h, k, n, out, scale):
+        pass
     return out
 
 
@@ -271,14 +298,48 @@ class RuleEngine:
 # --- derived sequences ----------------------------------------------------
 
 
-def _trace_for(x: WalkTrace | WalkSpec, n: int) -> WalkTrace:
+def _sign_blocks(x: WalkTrace | WalkSpec, n: int):
+    """(start, signs) pairs: the int8 steps start + 1 .. start + len(signs)
+    of the first n steps, one block of `_CHUNK` at a time.
+
+    A trace gives slices of its own signs. A spec runs the certified kernel
+    block by block into one reused buffer, so the walk is never held whole.
+    The length is checked here, when the blocks are asked for, before the
+    kernel runs.
+    """
     if n < 0:
         raise ValueError("walk length must be >= 0")
     if isinstance(x, WalkTrace):
         if x.n < n:
             raise ValueError(f"trace has {x.n} steps, {n} requested")
-        return x
-    return brute_walk(x, n)
+        return ((start, x.signs[start : min(start + _CHUNK, n)]) for start in range(0, n, _CHUNK))
+    _check_length(n)
+    return _kernel_signs(x.rotation, n)
+
+
+def _kernel_signs(rotation: QuadraticSurd, n: int):
+    for start, signs in _indicator_blocks(rotation, 1, 2, n):
+        signs *= 2  # in place: flags {0, 1} become steps {-1, +1}
+        signs -= 1
+        yield start, signs
+
+
+def _walk_blocks(x: WalkTrace | WalkSpec, n: int):
+    """Yield (start, signs, sums) over the first n steps, one block at a time:
+    slices of a trace, or for a spec the kernel's signs and their int32
+    running sums, carried from block to block in one reused buffer."""
+    blocks = _sign_blocks(x, n)
+    if isinstance(x, WalkTrace):
+        for start, signs in blocks:
+            yield start, signs, x.sums[start : start + len(signs)]
+        return
+    buf = np.empty(min(n, _CHUNK), dtype=np.int32)
+    carry = 0
+    for start, signs in blocks:
+        sums = buf[: len(signs)]
+        sums[:] = signs
+        carry = _carry_sums(sums, carry)
+        yield start, signs, sums
 
 
 def records(x: WalkTrace | WalkSpec, n: int) -> list[int]:
@@ -289,11 +350,9 @@ def records(x: WalkTrace | WalkSpec, n: int) -> list[int]:
     maximum or minimum. The scan carries the running (hi, lo) from block to
     block; a block whose max and min stay inside [lo, hi] holds no record.
     """
-    sums = _trace_for(x, n).sums[:n]
     found = [np.zeros(1, dtype=np.int64)]
     hi = lo = 0
-    for start in range(0, n, _CHUNK):
-        block = sums[start : start + _CHUNK]
+    for start, _, block in _walk_blocks(x, n):
         top, bottom = int(block.max()), int(block.min())
         if top > hi:
             found.append(start + 1 + _new_extremes(np.maximum, hi, block))
@@ -312,17 +371,40 @@ def _new_extremes(ufunc: np.ufunc, bound: int, block: np.ndarray) -> np.ndarray:
 
 def zeros(x: WalkTrace | WalkSpec, n: int) -> list[int]:
     """Ascending indices m <= n with S_m = 0, starting with 0."""
-    t = _trace_for(x, n)
-    return [0] + (np.nonzero(t.sums[:n] == 0)[0] + 1).tolist()
+    found = [0]
+    for start, _, sums in _walk_blocks(x, n):
+        found += (np.flatnonzero(sums == 0) + (start + 1)).tolist()
+    return found
+
+
+def _take_steps(out: np.ndarray, filled: int, start: int, mask: np.ndarray) -> int:
+    """Write the 1-based step indices start + 1 + i of mask's set positions i
+    into out[filled:], as many as fit; return the new fill."""
+    idx = np.flatnonzero(mask)[: len(out) - filled]
+    np.add(idx, start + 1, out=out[filled : filled + len(idx)])
+    return filled + len(idx)
 
 
 def ab_sequences(x: WalkTrace | WalkSpec, n: int) -> AbSequences:
-    t = _trace_for(x, n)
-    signs = t.signs[:n]
-    a = np.flatnonzero(signs > 0)
-    b = np.flatnonzero(signs < 0)
-    a += 1  # in place: positions become 1-based step indices
-    b += 1
+    """Forward and backward step indices of the first n steps.
+
+    a and b are each allocated once at their exact length and filled block
+    by block. They partition the n steps and S_n = len(a) - len(b), so a
+    trace gives their lengths from S_n; a spec counts the forward steps in a
+    first pass of the kernel.
+    """
+    blocks = _sign_blocks(x, n)
+    if isinstance(x, WalkTrace):
+        forward = (n + int(x.sums[n - 1])) // 2 if n else 0
+    else:
+        forward = sum(int(np.count_nonzero(signs > 0)) for _, signs in blocks)
+        blocks = _sign_blocks(x, n)
+    a, b = np.empty(forward, dtype=np.int64), np.empty(n - forward, dtype=np.int64)
+    na = nb = 0
+    for start, signs in blocks:
+        forth = signs > 0
+        na = _take_steps(a, na, start, forth)
+        nb = _take_steps(b, nb, start, np.logical_not(forth, out=forth))
     return AbSequences(a=a, b=b)
 
 
@@ -330,16 +412,26 @@ def ab_terms(spec: WalkSpec, count: int) -> AbSequences:
     """First `count` terms of both a and b (walks as far as needed).
 
     Unlike ab_sequences, which partitions a fixed number of steps, this
-    extends the walk until both sequences have `count` entries.
+    streams the walk until both sequences have `count` entries. a and b
+    partition the steps, so that takes at least 2*count steps; a walk that
+    would reach the engine's length bound raises ValueError.
     """
     if count < 0:
         raise ValueError("term count must be >= 0")
-    steps = 2 * count + 64
-    while True:
-        seqs = ab_sequences(spec, steps)
-        if len(seqs.a) >= count and len(seqs.b) >= count:
-            return AbSequences(a=seqs.a[:count], b=seqs.b[:count])
-        steps *= 2
+    if 2 * count >= _MAX_STEPS:
+        raise ValueError("walk length beyond engine range")
+    a, b = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)
+    na = nb = 0
+    if count:
+        for start, signs in _sign_blocks(spec, _MAX_STEPS - 1):
+            forth = signs > 0
+            na = _take_steps(a, na, start, forth)
+            nb = _take_steps(b, nb, start, np.logical_not(forth, out=forth))
+            if na == nb == count:
+                break
+        else:
+            raise ValueError("walk length beyond engine range")
+    return AbSequences(a=a, b=b)
 
 
 def diff_hits(spec: WalkSpec, k: int, bound: int) -> list[int]:

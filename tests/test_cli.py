@@ -238,6 +238,8 @@ def test_int_rows_block_edges(n):
     chunks = list(_int_rows(columns, ","))
     assert len(chunks) == -(-n // _CHUNK)  # one chunk per block, none when empty
     assert_same_text("".join(chunks), reference_rows(columns, ","))
+    # an index column given as a range is made one block at a time
+    assert list(_int_rows([range(1, n + 1), *columns[1:]], ",")) == chunks
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, _CHUNK + 1])

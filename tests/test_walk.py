@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -229,23 +230,132 @@ def test_discrepancy_large_k_in_range_is_exact():
     assert discrepancy(xi, Fraction(h, k), n).tolist() == want
 
 
-def test_length_bound_checked_before_any_allocation(monkeypatch):
-    def spy(*args, **kwargs):
-        raise LookupError("past the guard")
+def past_the_guard(*args, **kwargs):
+    raise LookupError("past the guard")
 
-    for name in ("_indicators", "_signs_exact", "_running_sums"):
-        monkeypatch.setattr(walk, name, spy)
+
+def test_length_bound_checked_before_any_allocation(monkeypatch):
+    # the whole-array paths and the kernel loop that the streamed reducers run
+    for name in ("_indicators", "_indicator_blocks", "_signs_exact", "_running_sums"):
+        monkeypatch.setattr(walk, name, past_the_guard)
     xi = parse_surd("sqrt2m1")
     calls = (
         lambda n: brute_walk(TWO_SQRT2, n),
         lambda n: brute_walk(TWO_SQRT2, n, exact=True),
         lambda n: discrepancy(xi, Fraction(1, 2), n),
+        lambda n: records(SQRT2, n),
+        lambda n: zeros(TWO_SQRT2, n),
+        lambda n: ab_sequences(SQRT3, n),
     )
     for call in calls:
         with pytest.raises(ValueError, match="walk length beyond engine range"):
             call(1 << 30)
         with pytest.raises(LookupError):  # one step shorter passes the guard
             call((1 << 30) - 1)
+
+
+# (0+1*sqrt(10001))/1 = 100.00499..: floor(j theta) = 100 j + floor(0.00499.. j)
+# is even for j < 201, so steps 1..200 all go forward
+SQRT10001 = walk_spec(parse_surd("(0+1*sqrt(10001))/1"))
+
+
+def test_ab_terms_length_bound(monkeypatch):
+    monkeypatch.setattr(walk, "_MAX_STEPS", 150)
+    # b's first term is step 201, past the 149 steps the bound allows: the
+    # stream ends at the bound without filling b
+    with pytest.raises(ValueError, match="walk length beyond engine range"):
+        ab_terms(SQRT10001, 1)
+    # a and b partition the steps, so 75 terms each need 150 steps: refused
+    # before the kernel runs, while 74 terms pass the guard
+    monkeypatch.setattr(walk, "_indicator_blocks", past_the_guard)
+    with pytest.raises(ValueError, match="walk length beyond engine range"):
+        ab_terms(SQRT10001, 75)
+    with pytest.raises(LookupError):
+        ab_terms(SQRT10001, 74)
+
+
+def ab_terms_reference(spec, count):
+    """The first `count` terms of a and b from whole traces, doubling the
+    walk from a first guess of 2*count + 64 steps until both are long enough."""
+    steps = 2 * count + 64
+    while True:
+        seqs = ab_sequences(brute_walk(spec, steps), steps)
+        if len(seqs.a) >= count and len(seqs.b) >= count:
+            return seqs.a[:count].tolist(), seqs.b[:count].tolist()
+        steps *= 2
+
+
+def test_ab_terms_walks_past_its_first_guess():
+    t = brute_walk(SQRT10001, 2000)
+    assert (t.signs[:200] == 1).all() and t.signs[200] == -1
+    seqs = ab_sequences(t, 2000)
+    got = ab_terms(SQRT10001, 10)
+    assert got.a.tolist() == seqs.a[:10].tolist() == list(range(1, 11))
+    assert got.b.tolist() == seqs.b[:10].tolist() == list(range(201, 211))
+    assert (got.a.tolist(), got.b.tolist()) == ab_terms_reference(SQRT10001, 10)
+
+
+@st.composite
+def walk_specs(draw):
+    """A random quadratic angle: a BR one, 2 xi with xi = [0; (2k, l)*], or
+    a positive surd drawn at random, which is rarely BR."""
+    if draw(st.booleans()):
+        k, l = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+        spec = walk_spec(2 * QuadraticSurd(-k * l, 1, k * l * (k * l + 2), 2 * k))
+        assert spec.br
+        return spec
+    return walk_spec(draw(unit_surds()) + draw(st.integers(0, 3)))
+
+
+STREAM_NS = (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7)
+
+
+@settings(max_examples=30, deadline=None)
+@given(walk_specs(), st.one_of(st.sampled_from(STREAM_NS), st.integers(0, STREAM_NS[-1])))
+def test_streamed_reducers_match_traces(spec, n):
+    # each reducer read straight from the kernel equals the same reducer on
+    # the brute trace, and on the exact trace for short walks; plain
+    # whole-array scans of the trace are the references
+    traces = [brute_walk(spec, n)]
+    if n <= 1 << 12:
+        traces.append(brute_walk(spec, n, exact=True))
+        assert np.array_equal(traces[0].signs, traces[1].signs)
+    t = traces[0]
+    rec, zs, seqs = records(spec, n), zeros(spec, n), ab_sequences(spec, n)
+    assert rec == records_reference(t.sums)
+    assert zs == [0] + (np.flatnonzero(t.sums == 0) + 1).tolist()
+    assert seqs.a.dtype == seqs.b.dtype == np.int64
+    assert np.array_equal(seqs.a, np.flatnonzero(t.signs > 0) + 1)
+    assert np.array_equal(seqs.b, np.flatnonzero(t.signs < 0) + 1)
+    for trace in traces:
+        assert records(trace, n) == rec and zeros(trace, n) == zs
+        from_trace = ab_sequences(trace, n)
+        assert np.array_equal(seqs.a, from_trace.a) and np.array_equal(seqs.b, from_trace.b)
+    count = n // 2
+    got = ab_terms(spec, count)
+    assert (got.a.tolist(), got.b.tolist()) == ab_terms_reference(spec, count)
+
+
+@pytest.mark.parametrize(
+    "call, bound",
+    [
+        (lambda: records(SQRT2, 2**22), 4 * 2**20),
+        (lambda: zeros(TWO_SQRT2, 2**22), 4 * 2**20),
+        # its two outputs are 2^20 int64 terms each, 16 MiB together
+        (lambda: ab_terms(SQRT2, 2**20), 1.25 * 16 * 2**20),
+    ],
+    ids=["records", "zeros", "ab_terms"],
+)
+def test_streamed_reducers_hold_no_trace(call, bound):
+    # numpy reports its buffers to tracemalloc; a 2^22-step trace alone
+    # would take 20 MiB at 5 B/step
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, peak
 
 
 def exact_flags(xi, h, k, n):
