@@ -15,12 +15,16 @@ automata, and the recurrence generators claim is cross-checked against it.
 
 The bulk paths work one block of `_CHUNK` steps at a time, carrying state
 from block to block, so their temporaries stay in the L2 cache instead of
-streaming whole-length arrays through memory. `brute_walk` and
-`discrepancy` return whole arrays, so the kernel writes each block in place
-into the full-length output. `records`, `zeros`, `ab_sequences` and
-`ab_terms` given a spec read the walk straight from the kernel, one block
-at a time, and never build a trace: beyond their outputs they use O(block)
-memory. Given a trace, they read it block by block.
+streaming whole-length arrays through memory. One stream serves them all:
+`_sum_blocks` runs the kernel block by block and carries the running sum of
+the steps k*flag - h. Step j of the walk is +1 exactly when
+{j*theta/2} < 1/2, so with h/k = 1/2 that sum is S_n = 2*D_n, and with any
+other endpoint it is the discrepancy's k*D_n. `brute_walk` and
+`discrepancy` have each block's sums written in place into their
+whole-length output. `records` and `zeros` given a spec reuse one block of
+sums, and `ab_sequences` and `ab_terms` read the kernel's flags alone: none
+of them builds a trace, and beyond their outputs they use O(block) memory.
+Given a trace, the reducers read it block by block.
 """
 
 from __future__ import annotations
@@ -87,16 +91,11 @@ class AbSequences:
 # --- certified indicator kernel -------------------------------------------
 
 
-def _indicator_blocks(
-    xi: QuadraticSurd, h: int, k: int, n: int, out: np.ndarray | None = None, scale: int = _SCALE
-):
+def _indicator_blocks(xi: QuadraticSurd, h: int, k: int, n: int, scale: int = _SCALE):
     """Yield (start, flags): int8 flags [{j*xi} < h/k] for the block of steps
     j = start + 1 .. start + len(flags), one block of `_CHUNK` steps at a
-    time, for j = 1..n, with xi in (0,1).
-
-    Given a full-length int8 `out`, each block is written in place into it
-    and the yielded flags are views of it. Otherwise every block is written
-    into one reused `_CHUNK` buffer, which the next block overwrites.
+    time, for j = 1..n, with xi in (0,1). Every block is written into one
+    reused buffer, which the next block overwrites.
 
     The fixed point sits in the top `scale` bits of a uint64, in units of
     2^(64 - scale), so uint64 sums wrap mod 1 by themselves. With
@@ -122,60 +121,55 @@ def _indicator_blocks(
     low, w, top = np.uint64((cut - width) % one), np.uint64(width), np.uint64(one - width)
     cut = np.uint64(cut)
     steps = np.arange(min(n, _CHUNK), dtype=np.uint64) * x  # t*X, wrapping
-    r, dist = np.empty_like(steps), np.empty_like(steps)
-    flags = np.empty(len(steps), dtype=np.int8) if out is None else None
+    r = np.empty_like(steps)
+    flags = np.empty(len(steps), dtype=np.int8)
     for start in range(0, n, _CHUNK):
         j0 = start + 1
         size = min(_CHUNK, n - start)
-        anchor = floor_scaled(j0 << scale, xi) % (1 << scale) * unit
-        rb = np.add(steps[:size], np.uint64(anchor), out=r[:size])
-        block = flags[:size] if out is None else out[start : start + size]
+        anchor = np.uint64(floor_scaled(j0 << scale, xi) % (1 << scale) * unit)
+        rb = np.add(steps[:size], anchor, out=r[:size])
+        block = flags[:size]
         np.less(rb, cut, out=block.view(np.bool_))
-        db = np.subtract(rb, low, out=dist[:size])  # the window [cut - w, cut] becomes [0, w]
-        if db.min() <= w or rb.max() >= top:
+        wraps = rb.max() >= top
+        # in place, to keep the block's temporaries few: the window
+        # [cut - w, cut] becomes [0, w]; the rare fallback rebuilds r
+        db = np.subtract(rb, low, out=rb)
+        if db.min() <= w or wraps:
+            rb = steps[:size] + anchor
             for i in np.flatnonzero((db <= w) | (rb >= top)):
                 m = j0 + int(i)
                 block[i] = floor_scaled(k * m, xi) - k * floor_scaled(m, xi) < h
         yield start, block
 
 
-def _carry_sums(block: np.ndarray, carry: int) -> int:
-    """Running sums of a block of steps, in place, continued from the sum
-    `carry` before it; returns the block's last sum."""
-    block[0] += carry
-    np.cumsum(block, dtype=block.dtype, out=block)
-    return int(block[-1])
+def _sum_blocks(
+    xi: QuadraticSurd, h: int, k: int, n: int, out: np.ndarray, scale: int = _SCALE
+):
+    """Yield (start, flags, sums): the kernel's flags for the block of steps
+    j = start + 1 .. start + len(flags), and the running sums through those
+    steps of the values k*flag - h, carried from block to block.
 
-
-def _running_sums(values: np.ndarray, dtype, scale: int = 1, offset: int = 0) -> np.ndarray:
-    """Running sums, of the given integer dtype, of the steps scale*v - offset
-    over int8 values v.
-
-    Each block's steps are summed in place in the output, with the previous
-    block's last sum carried into its first step. The caller picks a dtype
-    wide enough for every sum: int32 holds a walk's |S_n| <= n < 2^30, while
-    a discrepancy's k*D_m can pass 2^31 for large k and needs int64.
+    This is the one running sum of the bulk paths: S_m for (1, 2) and k*D_m
+    for (h, k). The cumsum writes straight into `out`. A whole-length `out`
+    gets each block in place, and the sums are views of it; a shorter one
+    holds one block and is reused, each block overwriting the last. The
+    caller picks a dtype for `out` wide enough for every sum: int32 holds a
+    walk's |S_n| <= n < 2^30, while a discrepancy's k*D_m can pass 2^31 for
+    large k and needs int64.
     """
-    out = np.empty(len(values), dtype=dtype)
+    whole = len(out) >= n
+    values = np.empty(min(n, _CHUNK), dtype=out.dtype)
     carry = 0
-    for start in range(0, len(values), _CHUNK):
-        block = out[start : start + _CHUNK]
-        block[:] = values[start : start + _CHUNK]
-        if scale != 1:
-            block *= scale
-        if offset:
-            block -= offset
-        carry = _carry_sums(block, carry)
-    return out
-
-
-def _indicators(xi: QuadraticSurd, h: int, k: int, n: int, scale: int = _SCALE) -> np.ndarray:
-    """The kernel's flags for j = 1..n as one int8 array, each block written
-    in place: the whole-array form of `brute_walk` and `discrepancy`."""
-    out = np.empty(n, dtype=np.int8)
-    for _ in _indicator_blocks(xi, h, k, n, out, scale):
-        pass
-    return out
+    for start, flags in _indicator_blocks(xi, h, k, n, scale):
+        step = values[: len(flags)]
+        step[:] = flags
+        step *= k
+        step -= h
+        step[0] += carry
+        sums = out[start : start + len(flags)] if whole else out[: len(flags)]
+        np.cumsum(step, dtype=out.dtype, out=sums)
+        carry = int(sums[-1])
+        yield start, flags, sums
 
 
 def _signs_exact(theta: QuadraticSurd, n: int) -> np.ndarray:
@@ -191,17 +185,19 @@ def brute_walk(spec: WalkSpec, n: int, exact: bool = False) -> WalkTrace:
     """Partial sums S_1..S_n by direct evaluation of every step.
 
     floor(j*theta) is even exactly when {j*theta/2} < 1/2, so the fast path
-    reads each step from the rotation's indicator of [0, 1/2). The sums
-    are int32, which holds every |S_n| <= n below the length bound.
+    reads each step 2*flag - 1 from the rotation's indicator of [0, 1/2):
+    S_n is 2*D_n over that interval. The sums are int32, which holds every
+    |S_n| <= n below the length bound.
     """
     _check_length(n)
     if exact:
         signs = _signs_exact(spec.theta, n)
-    else:
-        signs = _indicators(spec.rotation, 1, 2, n)
-        signs *= 2  # in place: flags {0, 1} become steps {-1, +1}
-        signs -= 1
-    return WalkTrace(n=n, sums=_running_sums(signs, np.int32), signs=signs)
+        return WalkTrace(n=n, sums=np.cumsum(signs, dtype=np.int32), signs=signs)
+    sums, signs = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int8)
+    for start, flags, _ in _sum_blocks(spec.rotation, 1, 2, n, sums):
+        block = np.add(flags, flags, out=signs[start : start + len(flags)])
+        block -= 1  # flags {0, 1} become steps {-1, +1}
+    return WalkTrace(n=n, sums=sums, signs=signs)
 
 
 def _check_length(n: int) -> None:
@@ -298,48 +294,27 @@ class RuleEngine:
 # --- derived sequences ----------------------------------------------------
 
 
-def _sign_blocks(x: WalkTrace | WalkSpec, n: int):
-    """(start, signs) pairs: the int8 steps start + 1 .. start + len(signs)
-    of the first n steps, one block of `_CHUNK` at a time.
+def _walk_blocks(x: WalkTrace | WalkSpec, n: int, sums: bool = True):
+    """(start, block) pairs over the first n steps, one block of `_CHUNK` at
+    a time: the int32 running sums S_{start+1}.. of the block, or with
+    `sums` false its steps, which are > 0 exactly where the walk goes forward.
 
-    A trace gives slices of its own signs. A spec runs the certified kernel
-    block by block into one reused buffer, so the walk is never held whole.
-    The length is checked here, when the blocks are asked for, before the
-    kernel runs.
+    A trace gives slices of its own sums or +-1 signs. A spec runs the
+    certified kernel into reused block buffers, so the walk is never held
+    whole: its steps are the kernel's flags {0, 1}, and its sums come from
+    `_sum_blocks`. The length is checked here, when the blocks are asked
+    for, before the kernel runs.
     """
-    if n < 0:
-        raise ValueError("walk length must be >= 0")
+    _check_length(n)
     if isinstance(x, WalkTrace):
         if x.n < n:
             raise ValueError(f"trace has {x.n} steps, {n} requested")
-        return ((start, x.signs[start : min(start + _CHUNK, n)]) for start in range(0, n, _CHUNK))
-    _check_length(n)
-    return _kernel_signs(x.rotation, n)
-
-
-def _kernel_signs(rotation: QuadraticSurd, n: int):
-    for start, signs in _indicator_blocks(rotation, 1, 2, n):
-        signs *= 2  # in place: flags {0, 1} become steps {-1, +1}
-        signs -= 1
-        yield start, signs
-
-
-def _walk_blocks(x: WalkTrace | WalkSpec, n: int):
-    """Yield (start, signs, sums) over the first n steps, one block at a time:
-    slices of a trace, or for a spec the kernel's signs and their int32
-    running sums, carried from block to block in one reused buffer."""
-    blocks = _sign_blocks(x, n)
-    if isinstance(x, WalkTrace):
-        for start, signs in blocks:
-            yield start, signs, x.sums[start : start + len(signs)]
-        return
-    buf = np.empty(min(n, _CHUNK), dtype=np.int32)
-    carry = 0
-    for start, signs in blocks:
-        sums = buf[: len(signs)]
-        sums[:] = signs
-        carry = _carry_sums(sums, carry)
-        yield start, signs, sums
+        whole = x.sums if sums else x.signs
+        return ((start, whole[start : min(start + _CHUNK, n)]) for start in range(0, n, _CHUNK))
+    if not sums:
+        return _indicator_blocks(x.rotation, 1, 2, n)
+    out = np.empty(min(n, _CHUNK), dtype=np.int32)
+    return ((start, block) for start, _, block in _sum_blocks(x.rotation, 1, 2, n, out))
 
 
 def records(x: WalkTrace | WalkSpec, n: int) -> list[int]:
@@ -352,7 +327,7 @@ def records(x: WalkTrace | WalkSpec, n: int) -> list[int]:
     """
     found = [np.zeros(1, dtype=np.int64)]
     hi = lo = 0
-    for start, _, block in _walk_blocks(x, n):
+    for start, block in _walk_blocks(x, n):
         top, bottom = int(block.max()), int(block.min())
         if top > hi:
             found.append(start + 1 + _new_extremes(np.maximum, hi, block))
@@ -372,7 +347,7 @@ def _new_extremes(ufunc: np.ufunc, bound: int, block: np.ndarray) -> np.ndarray:
 def zeros(x: WalkTrace | WalkSpec, n: int) -> list[int]:
     """Ascending indices m <= n with S_m = 0, starting with 0."""
     found = [0]
-    for start, _, sums in _walk_blocks(x, n):
+    for start, sums in _walk_blocks(x, n):
         found += (np.flatnonzero(sums == 0) + (start + 1)).tolist()
     return found
 
@@ -390,19 +365,19 @@ def ab_sequences(x: WalkTrace | WalkSpec, n: int) -> AbSequences:
 
     a and b are each allocated once at their exact length and filled block
     by block. They partition the n steps and S_n = len(a) - len(b), so a
-    trace gives their lengths from S_n; a spec counts the forward steps in a
-    first pass of the kernel.
+    trace gives their lengths from S_n; a spec counts the forward steps, its
+    kernel flags, in a first pass of the kernel.
     """
-    blocks = _sign_blocks(x, n)
+    blocks = _walk_blocks(x, n, sums=False)
     if isinstance(x, WalkTrace):
         forward = (n + int(x.sums[n - 1])) // 2 if n else 0
     else:
-        forward = sum(int(np.count_nonzero(signs > 0)) for _, signs in blocks)
-        blocks = _sign_blocks(x, n)
+        forward = sum(int(np.count_nonzero(steps > 0)) for _, steps in blocks)
+        blocks = _walk_blocks(x, n, sums=False)
     a, b = np.empty(forward, dtype=np.int64), np.empty(n - forward, dtype=np.int64)
     na = nb = 0
-    for start, signs in blocks:
-        forth = signs > 0
+    for start, steps in blocks:
+        forth = steps > 0
         na = _take_steps(a, na, start, forth)
         nb = _take_steps(b, nb, start, np.logical_not(forth, out=forth))
     return AbSequences(a=a, b=b)
@@ -423,8 +398,8 @@ def ab_terms(spec: WalkSpec, count: int) -> AbSequences:
     a, b = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)
     na = nb = 0
     if count:
-        for start, signs in _sign_blocks(spec, _MAX_STEPS - 1):
-            forth = signs > 0
+        for start, flags in _walk_blocks(spec, _MAX_STEPS - 1, sums=False):
+            forth = flags > 0
             na = _take_steps(a, na, start, forth)
             nb = _take_steps(b, nb, start, np.logical_not(forth, out=forth))
             if na == nb == count:
@@ -465,8 +440,10 @@ def discrepancy(xi: QuadraticSurd, endpoint: Fraction, n: int) -> np.ndarray:
         raise ValueError(
             f"k*D_m may overflow int64: endpoint denominator {k} times n = {n} reaches 2^63"
         )
-    # k*D_m is the running sum of the steps k*flag - h
-    return _running_sums(_indicators(xi, h, k, n), np.int64, k, h)
+    out = np.empty(n, dtype=np.int64)
+    for _ in _sum_blocks(xi, h, k, n, out):  # k*D_m sums the steps k*flag - h
+        pass
+    return out
 
 
 # --- identity checks -------------------------------------------------------

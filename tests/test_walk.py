@@ -17,8 +17,8 @@ from walklab.walk import (
     NotBrNumber,
     RuleEngine,
     WalkTrace,
-    _indicators,
     _signs_exact,
+    _sum_blocks,
     ab_sequences,
     ab_terms,
     brute_walk,
@@ -83,13 +83,20 @@ def test_certified_engine_equals_exact():
         assert np.array_equal(brute_walk(spec, 4000).signs, _signs_exact(spec.theta, 4000))
 
 
+def kernel_flags(xi, h, k, n, scale=walk._SCALE):
+    """The kernel's flags for j = 1..n as one array. The kernel reuses one
+    buffer for every block, so each block is copied out as it comes."""
+    blocks = [flags.copy() for _, flags in walk._indicator_blocks(xi, h, k, n, scale)]
+    return np.concatenate([np.zeros(0, dtype=np.int8)] + blocks)
+
+
 def test_certified_engine_low_scale_fallback():
     # at 16 bits the ambiguity fallback fires constantly and must stay exact
-    flags = _indicators(TWO_SQRT2.rotation, 1, 2, 3000, scale=16)
+    flags = kernel_flags(TWO_SQRT2.rotation, 1, 2, 3000, scale=16)
     assert np.array_equal(2 * flags - 1, _signs_exact(TWO_SQRT2.theta, 3000))
     # a non-twin endpoint, against per-step exact floors
     xi = parse_surd("sqrt3over2")
-    flags = _indicators(xi, 1, 3, 3000, scale=16)
+    flags = kernel_flags(xi, 1, 3, 3000, scale=16)
     want = [floor_scaled(3 * j, xi) - 3 * floor_scaled(j, xi) < 1 for j in range(1, 3001)]
     assert flags.tolist() == [int(w) for w in want]
 
@@ -100,7 +107,7 @@ def test_step_whose_interval_wraps_past_one():
     # while {3 xi} = 3 eps has wrapped to just above 0
     xi = QuadraticSurd(10**20 - 3, 3, 2, 3 * 10**20)
     for scale in (64, 24):
-        assert _indicators(xi, 1, 2, 3, scale=scale).tolist() == [1, 0, 1]
+        assert kernel_flags(xi, 1, 2, 3, scale=scale).tolist() == [1, 0, 1]
 
 
 def fallback_steps(calls, n, scale, k):
@@ -141,17 +148,34 @@ def test_certified_engine_low_scale_fallback_across_blocks(monkeypatch):
         return exact_floor(j, xi)
 
     monkeypatch.setattr(walk, "floor_scaled", counting_floor)
-    flags = _indicators(TWO_SQRT2.rotation, 1, 2, n, scale=20)
+    flags = kernel_flags(TWO_SQRT2.rotation, 1, 2, n, scale=20)
     steps = fallback_steps(calls, n, 20, 2)
     assert sum(m > _CHUNK for m in steps) > 1000
-    assert np.array_equal(2 * flags - 1, _signs_exact(TWO_SQRT2.theta, n))
+    signs = _signs_exact(TWO_SQRT2.theta, n)
+    assert np.array_equal(2 * flags - 1, signs)
     xi = parse_surd("sqrt3over2")
     calls.clear()
-    flags = _indicators(xi, 1, 3, n, scale=20)
+    flags = kernel_flags(xi, 1, 3, n, scale=20)
     monkeypatch.undo()
     steps = fallback_steps(calls, n, 20, 3)
     assert sum(m > _CHUNK for m in steps) > 1000
-    assert np.array_equal(flags, exact_flags(xi, 1, 3, n))
+    want = exact_flags(xi, 1, 3, n)
+    assert np.array_equal(flags, want)
+    # the one running sum over the same forced fallbacks, across 3 blocks,
+    # into a whole-length output and into a reused block-length one
+    cases = ((TWO_SQRT2.rotation, 1, 2, (signs + 1) // 2, np.int32), (xi, 1, 3, want, np.int64))
+    for rotation, h, k, exact, dtype in cases:
+        sums = np.cumsum(k * exact.astype(np.int64) - h)
+        whole = np.empty(n, dtype=dtype)
+        for out in (whole, np.empty(_CHUNK, dtype=dtype)):
+            starts = []
+            for start, block_flags, block_sums in _sum_blocks(rotation, h, k, n, out, scale=20):
+                end = start + len(block_flags)
+                assert np.array_equal(block_flags, exact[start:end])
+                assert np.array_equal(block_sums, sums[start:end])
+                starts.append(start)
+            assert starts == [0, _CHUNK, 2 * _CHUNK]
+        assert np.array_equal(whole, sums)
 
 
 # lengths on and around the kernel's block edges, up to 3 blocks and 5 steps
@@ -179,7 +203,7 @@ def test_indicators_match_exact_floors(xi, endpoint, n, scale, rnd):
     # the cut wraps past 2^64; 16 bits send every step to the fallback
     endpoint = Fraction(*endpoint)
     h, k = endpoint.numerator, endpoint.denominator
-    flags = _indicators(xi, h, k, n, scale=scale)
+    flags = kernel_flags(xi, h, k, n, scale=scale)
     assert flags.dtype == np.int8 and flags.shape == (n,)
     edges = {i for e in range(0, n + _CHUNK, _CHUNK) for i in (e - 1, e) if 0 <= i < n}
     for i in sorted(edges | set(rnd.sample(range(n), min(200, n)))):
@@ -199,9 +223,17 @@ def test_running_sums_widths_across_a_block():
     xi, k = parse_surd("sqrt2m1"), 3 * 2**32 + 1
     h = k // 2
     d = discrepancy(xi, Fraction(h, k), n)
-    flags = _indicators(xi, h, k, n)
+    flags = kernel_flags(xi, h, k, n)
     assert d.dtype == np.int64 and np.abs(d).max() > 2**31
     assert np.array_equal(d, np.cumsum(k * flags.astype(np.int64) - h, dtype=np.int64))
+
+
+def past_the_guard(*args, **kwargs):
+    raise LookupError("past the guard")
+
+
+def fail_past_the_guard(*args, **kwargs):
+    pytest.fail("past the guard")
 
 
 def test_discrepancy_refuses_sums_past_int64(monkeypatch):
@@ -213,10 +245,12 @@ def test_discrepancy_refuses_sums_past_int64(monkeypatch):
     with pytest.raises(ValueError, match="overflow int64"):
         discrepancy(xi, Fraction(1, 2**64 + 1), 10)
     # the guard is k*n >= 2^63, checked before any array is made
-    monkeypatch.setattr(walk, "_indicators", lambda *args: pytest.fail("past the guard"))
+    monkeypatch.setattr(walk, "_indicator_blocks", fail_past_the_guard)
+    monkeypatch.setattr(np, "empty", fail_past_the_guard)
     with pytest.raises(ValueError, match="overflow int64"):
         discrepancy(xi, Fraction(1, 2**53), 2**10)
-    monkeypatch.setattr(walk, "_indicators", lambda *args: (_ for _ in ()).throw(LookupError))
+    monkeypatch.setattr(walk, "_indicator_blocks", past_the_guard)
+    monkeypatch.setattr(np, "empty", past_the_guard)
     with pytest.raises(LookupError):
         discrepancy(xi, Fraction(1, 2**53), 2**10 - 1)
 
@@ -230,14 +264,12 @@ def test_discrepancy_large_k_in_range_is_exact():
     assert discrepancy(xi, Fraction(h, k), n).tolist() == want
 
 
-def past_the_guard(*args, **kwargs):
-    raise LookupError("past the guard")
-
-
 def test_length_bound_checked_before_any_allocation(monkeypatch):
-    # the whole-array paths and the kernel loop that the streamed reducers run
-    for name in ("_indicators", "_indicator_blocks", "_signs_exact", "_running_sums"):
+    # the kernel loop, the running sum, the exact path and every numpy
+    # buffer: whatever a walk computes or allocates first raises
+    for name in ("_indicator_blocks", "_sum_blocks", "_signs_exact"):
         monkeypatch.setattr(walk, name, past_the_guard)
+    monkeypatch.setattr(np, "empty", past_the_guard)
     xi = parse_surd("sqrt2m1")
     calls = (
         lambda n: brute_walk(TWO_SQRT2, n),
@@ -321,6 +353,8 @@ def test_streamed_reducers_match_traces(spec, n):
         traces.append(brute_walk(spec, n, exact=True))
         assert np.array_equal(traces[0].signs, traces[1].signs)
     t = traces[0]
+    # the walk is 2*D_n over [0, 1/2) of its rotation: S = 2*D
+    assert np.array_equal(discrepancy(spec.rotation, Fraction(1, 2), n), t.sums)
     rec, zs, seqs = records(spec, n), zeros(spec, n), ab_sequences(spec, n)
     assert rec == records_reference(t.sums)
     assert zs == [0] + (np.flatnonzero(t.sums == 0) + 1).tolist()
@@ -343,8 +377,10 @@ def test_streamed_reducers_match_traces(spec, n):
         (lambda: zeros(TWO_SQRT2, 2**22), 4 * 2**20),
         # its two outputs are 2^20 int64 terms each, 16 MiB together
         (lambda: ab_terms(SQRT2, 2**20), 1.25 * 16 * 2**20),
+        # its int64 output is 32 MiB, with no room for 4 MiB of flags beside it
+        (lambda: discrepancy(parse_surd("sqrt2m1"), Fraction(1, 3), 2**22), 8 * 2**22 + 3 * 2**20),
     ],
-    ids=["records", "zeros", "ab_terms"],
+    ids=["records", "zeros", "ab_terms", "discrepancy"],
 )
 def test_streamed_reducers_hold_no_trace(call, bound):
     # numpy reports its buffers to tracemalloc; a 2^22-step trace alone
