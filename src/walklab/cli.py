@@ -5,13 +5,18 @@ Sequence emitters share one output layer: b-file ("index value" per line,
 arrays are formatted as decimal text in numpy, one block of `walk._CHUNK`
 rows at a time, and each block is written as soon as it is made; lists of
 Python ints (huge recurrence terms, short record and zero lists) take the
-str() path, which the array kernel is tested against. Exit codes: 0 success,
-1 a verification check failed, 2 usage error (an unwritable output included).
-A reader that closes stdout early ends the output quietly.
+str() path, which the array kernel is tested against. A block is one
+zero-padded grid of digit columns, squeezed into text, and 10^6 b-file lines
+of `walk --emit sums` take ~35 ms to format (~90 ms with a scatter per digit
+pass, 2-vCPU host). Exit codes: 0 success, 1 a verification check failed,
+2 usage error (an unwritable output included). A reader that closes stdout
+early ends the output quietly.
 
 numpy, the walk engine and `verify` load only in the commands that use them,
-so encode, decode, dfa, recur and subst start without numpy. The walk names
-the commands call are module globals, bound on first use by `_load_walk`.
+so encode, decode, dfa, recur and subst start without numpy. The commands
+that load it first ask OpenBLAS for no worker threads (`_one_blas_thread`),
+which takes `import numpy` from ~205 to ~130 ms. The walk names the commands
+call are module globals, bound on first use by `_load_walk`.
 """
 
 from __future__ import annotations
@@ -28,6 +33,9 @@ from . import automata, recurrences, substitution
 from .numeration import alphabet_size, decode, encode, format_digits, parse_digits
 from .qarith import cf_expand, parse_surd
 
+# brute_walk is not called here: walk --emit sums|signs builds only the
+# printed array. It stays bound, because the benchmark's traced `cli` run
+# looks up and patches every one of these names.
 _WALK_NAMES = (
     "walk_spec",
     "brute_walk",
@@ -42,6 +50,20 @@ _WALK_NAMES = (
 # so that --help and usage errors need no verify import (a test pins them)
 _SUITES = ("walk", "automata", "substitution", "recurrences")
 _SCALES = ("quick", "full")
+
+
+def _one_blas_thread() -> None:
+    """Ask OpenBLAS for no worker threads, unless the caller chose a count,
+    before this process first imports numpy.
+
+    numpy's OpenBLAS starts its thread pool at import, and on a 2-vCPU host
+    that costs ~75 ms of a ~205 ms `import numpy` (a bare interpreter takes
+    ~50 ms). No walklab module calls a BLAS routine (a test in
+    tests/test_source_guards.py keeps it so), so the pool would only sit
+    idle. Once numpy is loaded, the variable changes nothing.
+    """
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 def _load_walk() -> None:
@@ -60,68 +82,61 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _decimal_digits(mag):
-    """ASCII digits of uint64 values, least significant first, as a
-    (passes, len) uint8 array ("0" past a value's leading digit), and each
-    value's digit count: one plus its nonzero quotients by 10."""
-    import numpy as np
-
-    passes = len(str(int(mag.max())))
-    digits = np.empty((passes, len(mag)), dtype=np.uint8)
-    count = np.ones(len(mag), dtype=np.uint8)
-    quot = np.empty_like(mag)
-    for p in range(passes):
-        np.floor_divide(mag, 10, out=quot)
-        digits[p] = mag - 10 * quot
-        count += quot != 0
-        mag, quot = quot, mag
-    digits += 48
-    return digits, count
-
-
 def _int_rows(columns, sep: str) -> Iterator[str]:
     """Decimal text of equal-length integer arrays or ranges: one line per
     row, the row's values joined by sep. Yields one str per block of _CHUNK
     rows; a range column becomes an array one block at a time.
 
-    A block is laid out in one uint8 buffer whose byte 0 is a sink. Line ends
-    come from one cumsum of the field widths, and each field is filled from
-    the right, one digit per pass. A pass past a field's leading digit writes
-    its "0" to the byte just before the field: the sink, or the sign,
-    separator or newline that is written after it.
+    A block is laid out as one zero-filled (rows, width) uint8 grid, each
+    field right-aligned in as many columns as its longest value needs, sign
+    included. Each digit pass fills one grid column, least significant
+    first: the digit's ASCII code while the value still has that digit, 0
+    past its leading digit. A negative value's "-" goes just before its
+    leading digit; separators and the newline are whole columns. Dropping
+    the 0 bytes leaves the text. The passes divide in uint32 when a field's
+    magnitudes fit it, else in uint64, which holds |-2^63| exactly.
     """
     import numpy as np
 
     from .walk import _CHUNK
 
     for lo in range(0, len(columns[0]), _CHUNK):
-        fields = []
-        line = np.int64(len(columns))  # k - 1 separators and a newline
+        fields, width = [], 0
         for col in columns:
             part = col[lo : lo + _CHUNK]
             if isinstance(part, range):  # an index column, made one block at a time
                 v = np.arange(part.start, part.stop, dtype=np.int64)
             else:
                 v = np.asarray(part, dtype=np.int64)
-            neg = v < 0
-            digits, count = _decimal_digits(np.abs(v).view(np.uint64))  # exact for -2^63
-            fields.append((neg, digits, count))
-            line = line + count + neg
-        ends = np.cumsum(line)
-        buf = np.empty(int(ends[-1]) + 1, dtype=np.uint8)
-        end = ends
-        for k in reversed(range(len(fields))):
-            neg, digits, count = fields[k]
-            before = end - count - 1
-            for p, row in enumerate(digits):
-                buf[before + (np.maximum(count, p) - p)] = row
-            if neg.any():
-                buf[before] = ord("-")
-            end = before - neg
-            if k:
-                buf[end] = ord(sep)
-        buf[ends] = ord("\n")
-        yield str(memoryview(buf)[1:], "ascii")
+            mag = np.abs(v).view(np.uint64)
+            top = int(mag.max())
+            neg = np.flatnonzero(v < 0)
+            passes = len(str(top))
+            width += passes + (len(neg) > 0)
+            fields.append((width, passes, mag if top >> 32 else mag.astype(np.uint32), neg))
+            width += 1  # the separator or the newline
+        rows = len(v)
+        grid = np.zeros((rows, width), dtype=np.uint8)
+        flat = grid.reshape(-1)
+        digit = np.empty(rows, dtype=np.uint8)
+        for end, passes, mag, neg in fields:
+            grid[:, end] = ord(sep)
+            # a "-" goes one column left of the leading digit, which stands
+            # digits - 1 columns left of the last
+            m = mag[neg]
+            signs = neg * width + (end - 2) - sum(m >= 10**p for p in range(1, passes))
+            quot, rest = np.empty_like(mag), np.empty_like(mag)
+            for p in range(passes):
+                np.floor_divide(mag, 10, out=quot)
+                np.subtract(mag, np.multiply(quot, 10, out=rest), out=rest)
+                np.add(rest, ord("0"), out=digit, casting="unsafe")
+                if p:  # mag is 0 past the leading digit
+                    digit *= mag != 0
+                grid[:, end - 1 - p] = digit
+                mag, quot = quot, mag
+            flat[signs] = ord("-")
+        grid[:, -1] = ord("\n")
+        yield grid.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def _emit(chunks: str | Iterable[str], path: str | None) -> None:
@@ -276,8 +291,26 @@ def _run_walk(args) -> Iterable[str]:
         return _series_text(records(spec, args.n), args.format, "records")
     if emit == "zeros":
         return _series_text(zeros(spec, args.n), args.format, "zeros")
-    trace = brute_walk(spec, args.n)
-    return _series_text(trace.sums if emit == "sums" else trace.signs, args.format, emit)
+    return _series_text(_walk_array(spec, args.n, emit == "sums"), args.format, emit)
+
+
+def _walk_array(spec, n: int, sums: bool):
+    """The walk's int32 sums S_1..S_n, or its int8 +-1 steps, filled block
+    by block from the kernel: only the array that is printed is held."""
+    import numpy as np
+
+    from .walk import _walk_blocks
+
+    blocks = _walk_blocks(spec, n, sums)  # checks n before anything is allocated
+    out = np.empty(n, dtype=np.int32 if sums else np.int8)
+    for start, block in blocks:
+        part = out[start : start + len(block)]
+        if sums:
+            part[:] = block
+        else:  # the kernel's flags {0, 1} become steps {-1, +1}
+            np.add(block, block, out=part)
+            part -= 1
+    return out
 
 
 def _run_dfa(args) -> str:
@@ -347,12 +380,14 @@ def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     status = 0
-    if args.command in ("seq", "walk", "records", "zeros", "discrepancy"):
-        _load_walk()
+    if args.command in ("seq", "walk", "records", "zeros", "discrepancy", "verify"):
+        _one_blas_thread()
+        _load_walk()  # verify imports the walk engine as well
     try:
         if args.command == "seq":
-            seqs = ab_terms(walk_spec(args.theta), args.n)
-            text = _series_text(seqs.a if args.which == "a" else seqs.b, args.format, args.which)
+            counts = (args.n, 0) if args.which == "a" else (0, args.n)
+            seqs = ab_terms(walk_spec(args.theta), *counts)  # the printed sequence alone
+            text = _series_text(getattr(seqs, args.which), args.format, args.which)
         elif args.command in ("walk", "records", "zeros"):
             text = _run_walk(args)
         elif args.command == "encode":

@@ -383,26 +383,33 @@ def ab_sequences(x: WalkTrace | WalkSpec, n: int) -> AbSequences:
     return AbSequences(a=a, b=b)
 
 
-def ab_terms(spec: WalkSpec, count: int) -> AbSequences:
-    """First `count` terms of both a and b (walks as far as needed).
+def ab_terms(spec: WalkSpec, count: int, b_count: int | None = None) -> AbSequences:
+    """First `count` terms of a and first `b_count` terms of b, by default
+    `count` of each (walks as far as needed).
 
     Unlike ab_sequences, which partitions a fixed number of steps, this
-    streams the walk until both sequences have `count` entries. a and b
-    partition the steps, so that takes at least 2*count steps; a walk that
-    would reach the engine's length bound raises ValueError.
+    streams the walk until both sequences have their terms, and no further:
+    a count of 0 for one of them walks only as far as the other needs. a
+    and b partition the steps, so that takes at least count + b_count
+    steps; a walk that would reach the engine's length bound raises
+    ValueError.
     """
-    if count < 0:
+    if b_count is None:
+        b_count = count
+    if min(count, b_count) < 0:
         raise ValueError("term count must be >= 0")
-    if 2 * count >= _MAX_STEPS:
+    if count + b_count >= _MAX_STEPS:
         raise ValueError("walk length beyond engine range")
-    a, b = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)
+    a, b = np.empty(count, dtype=np.int64), np.empty(b_count, dtype=np.int64)
     na = nb = 0
-    if count:
+    if count or b_count:
         for start, flags in _walk_blocks(spec, _MAX_STEPS - 1, sums=False):
             forth = flags > 0
-            na = _take_steps(a, na, start, forth)
-            nb = _take_steps(b, nb, start, np.logical_not(forth, out=forth))
-            if na == nb == count:
+            if na < count:
+                na = _take_steps(a, na, start, forth)
+            if nb < b_count:
+                nb = _take_steps(b, nb, start, np.logical_not(forth, out=forth))
+            if na == count and nb == b_count:
                 break
         else:
             raise ValueError("walk length beyond engine range")

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walklab import verify
-from walklab.cli import _int_rows, _pair_text, _series_text, main
+from walklab.cli import _int_rows, _pair_text, _series_text, _walk_array, main
 from walklab.numeration import encode, format_digits
 from walklab.qarith import cf_expand, parse_surd
 from walklab.recurrences import half_pell
-from walklab.walk import _CHUNK
+from walklab.walk import _CHUNK, brute_walk, walk_spec
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +98,24 @@ def test_walk_emits(capsys):
                         "ab", "--format", "json")
     data = json.loads(out)
     assert data["a"][:4] == [1, 3, 5, 6] and data["b"][:3] == [2, 4, 7]
+
+
+@pytest.mark.parametrize("sums", [True, False], ids=["sums", "signs"])
+def test_walk_array_is_the_trace_array_alone(sums):
+    # walk --emit sums|signs prints the trace's array, built without the
+    # other one: at 2^22 steps the whole trace is 20 MiB
+    spec = walk_spec(parse_surd("sqrt3"))
+    trace = brute_walk(spec, 3 * _CHUNK + 5)
+    want = trace.sums if sums else trace.signs
+    got = _walk_array(spec, trace.n, sums)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    tracemalloc.start()
+    try:
+        printed = _walk_array(spec, 2**22, sums).nbytes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert printed == (4 if sums else 1) * 2**22 and peak < printed + 3 * 2**20, peak
 
 
 @pytest.mark.parametrize(
@@ -240,6 +259,41 @@ def test_int_rows_block_edges(n):
     assert_same_text("".join(chunks), reference_rows(columns, ","))
     # an index column given as a range is made one block at a time
     assert list(_int_rows([range(1, n + 1), *columns[1:]], ",")) == chunks
+
+
+# the magnitudes where a block's digit passes move from uint32 to uint64
+SWITCH = [2**32 - 1, 2**32, 2**63 - 1, -(2**63)]
+
+
+@pytest.mark.parametrize("together", [True, False], ids=["one-block", "neighbouring-blocks"])
+def test_int_rows_across_the_uint32_uint64_switch(together):
+    # the switch values all in one block, or each in its own block, with
+    # the blocks around them in uint32; in both columns, at different rows
+    blocks = 1 if together else len(SWITCH) + 1
+    rng = np.random.default_rng(len(SWITCH) + blocks)
+    n = blocks * _CHUNK
+    columns = [rng.integers(-(2**32) + 1, 2**32, n, dtype=np.int64) for _ in range(2)]
+    for i, v in enumerate(SWITCH):
+        row = 7 * i if together else i * _CHUNK + 7 * i
+        columns[0][row] = v
+        columns[1][n - 1 - row] = v
+    assert set(SWITCH) <= set(columns[0].tolist()) & set(columns[1].tolist())
+    assert_same_text("".join(_int_rows(columns, ",")), reference_rows(columns, ","))
+
+
+@pytest.mark.parametrize("n", [1, _CHUNK + 1], ids=["one-row", "full-and-one-row-blocks"])
+def test_int_rows_all_negative_and_all_zero_columns(n):
+    # every row signed, or every field a single "0"; the last block has one row
+    rng = np.random.default_rng(n)
+    columns = [
+        -rng.integers(1, 10, n),
+        np.zeros(n, dtype=np.int64),
+        -rng.integers(1, 2**40, n),
+        np.full(n, -(2**63)),
+        np.zeros(n, dtype=np.int8),
+    ]
+    for sep in (" ", ","):
+        assert_same_text("".join(_int_rows(columns, sep)), reference_rows(columns, sep))
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, _CHUNK + 1])

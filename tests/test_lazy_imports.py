@@ -73,6 +73,73 @@ def test_array_commands_load_what_they_use():
     assert loaded_after("verify", "--suite", "recurrences") == (0, set(HEAVY))
 
 
+# the launcher again, reporting at exit the OPENBLAS_NUM_THREADS it ran with
+# and how many OS threads the process has
+BLAS_PROBE = (
+    "import atexit, os, sys; atexit.register(lambda: sys.stderr.write("
+    "'\\nblas: %s %d' % (os.environ.get('OPENBLAS_NUM_THREADS'), "
+    "len(os.listdir('/proc/self/task'))))); "
+    + common.CLI_LAUNCHER
+)
+
+
+def blas_env(value: str | None = None) -> dict[str, str]:
+    """The environment with src/ on the path and OPENBLAS_NUM_THREADS set to
+    value, or unset for None."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if value is not None:
+        env["OPENBLAS_NUM_THREADS"] = value
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def blas_after(value: str | None, *argv: str) -> tuple[int, str, int]:
+    """Run a command in blas_env(value): its exit code, the value it ended
+    with ("None" when unset) and its OS thread count at exit."""
+    proc = subprocess.run(
+        [sys.executable, "-c", BLAS_PROBE, *argv],
+        capture_output=True, text=True, env=blas_env(value), timeout=120,
+    )
+    seen, threads = proc.stderr.rsplit("\nblas: ", 1)[1].split()
+    return proc.returncode, seen, int(threads)
+
+
+needs_proc = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task"
+)
+
+
+@needs_proc
+@pytest.mark.parametrize(
+    "argv, seen",
+    [
+        (["walk", "--theta", "2sqrt2", "--n", "10"], "1"),
+        (["verify", "--suite", "recurrences"], "1"),
+        (["encode", "--base", "sqrt2m1", "69"], "None"),
+    ],
+    ids=["walk", "verify", "encode"],
+)
+def test_numpy_commands_start_no_blas_threads(argv, seen):
+    # no walklab module calls BLAS, so a command that loads numpy asks
+    # OpenBLAS for no worker threads; a digit command loads no numpy and
+    # leaves the variable alone
+    assert blas_after(None, *argv) == (0, seen, 1)
+
+
+@needs_proc
+def test_callers_blas_thread_count_is_kept():
+    code, seen, _ = blas_after("2", "walk", "--theta", "2sqrt2", "--n", "10")
+    assert (code, seen) == (0, "2")
+
+
+def test_library_import_leaves_blas_threads_alone():
+    code = "import os, walklab.walk; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=blas_env(), timeout=120
+    )
+    assert (proc.returncode, proc.stdout) == (0, "None\n")
+
+
 WALK_EXPORTS = (
     "AbSequences", "RuleEngine", "WalkSpec", "WalkTrace", "ab_sequences", "brute_walk",
     "diff_hits", "discrepancy", "lemma_checks", "records", "walk_spec", "zeros",

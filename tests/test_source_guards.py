@@ -174,3 +174,42 @@ def test_trusted_word_built_only_by_encode():
                 found.append(f"{path.name}:{node.lineno}")
     assert in_encode, "numeration.encode no longer builds its words with _canonical_word"
     assert not found, f"_canonical_word used outside numeration.encode: {found}"
+
+
+BLAS_ROUTINES = {"dot", "vdot", "inner", "outer", "matmul", "tensordot", "einsum", "linalg"}
+
+
+def _blas_lines(tree: ast.Module) -> list[int]:
+    """Lines that name a BLAS-backed numpy routine, as an attribute or an
+    import, or that use the @ operator."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            hit = node.attr in BLAS_ROUTINES
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            hit = any(set(alias.name.split(".")) & BLAS_ROUTINES for alias in node.names)
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+            hit = isinstance(node.op, ast.MatMult)
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_blas_routines_in_package():
+    # the CLI asks OpenBLAS for no worker threads before numpy loads; that
+    # costs nothing only while no walklab module calls a BLAS-backed routine
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _blas_lines(tree)]
+    assert not found, f"BLAS-backed numpy routines in walklab: {found}"
+
+
+def test_blas_scan_sees_every_spelling():
+    tree = ast.parse(
+        "import numpy.linalg\nfrom numpy import einsum\n"
+        "def f(a, b):\n    c = np.dot(a, b) + a @ b\n    c @= b\n    return np.add.outer(a, b)\n"
+    )
+    assert sorted(_blas_lines(tree)) == [1, 2, 4, 4, 5, 6]

@@ -304,6 +304,21 @@ def test_ab_terms_length_bound(monkeypatch):
         ab_terms(SQRT10001, 75)
     with pytest.raises(LookupError):
         ab_terms(SQRT10001, 74)
+    # one sequence alone needs at least as many steps as it has terms
+    with pytest.raises(ValueError, match="walk length beyond engine range"):
+        ab_terms(SQRT10001, 0, 150)
+    with pytest.raises(LookupError):
+        ab_terms(SQRT10001, 149, 0)
+
+
+def test_ab_terms_of_one_sequence_walk_only_as_far_as_it_needs(monkeypatch):
+    # a's first 10 terms are steps 1..10, inside a 149-step bound that b's
+    # first term, step 201, lies past: a alone is found, b alone is not
+    monkeypatch.setattr(walk, "_MAX_STEPS", 150)
+    got = ab_terms(SQRT10001, 10, 0)
+    assert (got.a.tolist(), got.b.tolist()) == (list(range(1, 11)), [])
+    with pytest.raises(ValueError, match="walk length beyond engine range"):
+        ab_terms(SQRT10001, 0, 1)
 
 
 def ab_terms_reference(spec, count):
@@ -368,6 +383,9 @@ def test_streamed_reducers_match_traces(spec, n):
     count = n // 2
     got = ab_terms(spec, count)
     assert (got.a.tolist(), got.b.tolist()) == ab_terms_reference(spec, count)
+    only_a, only_b = ab_terms(spec, count, 0), ab_terms(spec, 0, count)
+    assert np.array_equal(only_a.a, got.a) and np.array_equal(only_b.b, got.b)
+    assert len(only_a.b) == len(only_b.a) == 0
 
 
 @pytest.mark.parametrize(
@@ -377,10 +395,12 @@ def test_streamed_reducers_match_traces(spec, n):
         (lambda: zeros(TWO_SQRT2, 2**22), 4 * 2**20),
         # its two outputs are 2^20 int64 terms each, 16 MiB together
         (lambda: ab_terms(SQRT2, 2**20), 1.25 * 16 * 2**20),
+        # a alone: one 8 MiB output, and no b beside it
+        (lambda: ab_terms(SQRT2, 2**20, 0), 1.25 * 8 * 2**20),
         # its int64 output is 32 MiB, with no room for 4 MiB of flags beside it
         (lambda: discrepancy(parse_surd("sqrt2m1"), Fraction(1, 3), 2**22), 8 * 2**22 + 3 * 2**20),
     ],
-    ids=["records", "zeros", "ab_terms", "discrepancy"],
+    ids=["records", "zeros", "ab_terms", "ab_terms_a", "discrepancy"],
 )
 def test_streamed_reducers_hold_no_trace(call, bound):
     # numpy reports its buffers to tracemalloc; a 2^22-step trace alone
@@ -734,6 +754,8 @@ def test_discrepancy_input_validation():
 def test_negative_term_counts_rejected():
     with pytest.raises(ValueError, match="term count must be >= 0"):
         ab_terms(TWO_SQRT2, -3)
+    with pytest.raises(ValueError, match="term count must be >= 0"):
+        ab_terms(TWO_SQRT2, 3, -1)
     with pytest.raises(ValueError, match="term count must be >= 0"):
         diff_hits(TWO_SQRT2, 1, -3)
 
