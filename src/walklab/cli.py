@@ -3,7 +3,8 @@
 Sequence emitters share one output layer: b-file ("index value" per line,
 1-based), csv, json or plain text, written to stdout or --output. Integer
 arrays are formatted as decimal text in numpy, one block of `walk._CHUNK`
-rows at a time, and each block is written as soon as it is made; lists of
+rows at a time, and each block is written as soon as it is made (json
+included: its items are the same rows joined by ", "); lists of
 Python ints (huge recurrence terms, short record and zero lists) take the
 str() path, which the array kernel is tested against. A block is one
 zero-padded grid of digit columns, squeezed into text, and 10^6 b-file lines
@@ -151,16 +152,31 @@ def _emit(chunks: str | Iterable[str], path: str | None) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _json_ints(values) -> list[int]:
-    """Python ints for json: int() per item of a list, one tolist() for an array."""
-    return [int(v) for v in values] if isinstance(values, list) else values.tolist()
+def _json_text(name: str, **series) -> Iterator[str]:
+    """Chunks of the line json.dumps({"name": name, **series}) prints, for
+    integer sequences. An array's items are its _int_rows blocks with each
+    newline made ", ", so neither a list of Python ints nor the whole text
+    is ever built; a list of Python ints goes through json.dumps."""
+    yield json.dumps({"name": name})[:-1]
+    for key, values in series.items():
+        yield f", {json.dumps(key)}: "
+        if isinstance(values, list):
+            yield json.dumps([int(v) for v in values])
+            continue
+        yield "["
+        lead = ""
+        for block in _int_rows([values], " "):
+            yield lead + block[:-1].replace("\n", ", ")
+            lead = ", "
+        yield "]"
+    yield "}\n"
 
 
 def _series_text(values, fmt: str, name: str) -> Iterable[str]:
     """Text chunks of one sequence: arrays through _int_rows, lists of
-    Python ints through one f-string join."""
+    Python ints through one f-string join or json.dumps."""
     if fmt == "json":
-        return [json.dumps({"name": name, "values": _json_ints(values)}) + "\n"]
+        return _json_text(name, values=values)
     head = ["n,value\n"] if fmt == "csv" else []
     sep = "," if fmt == "csv" else " "
     if isinstance(values, list):
@@ -176,7 +192,7 @@ def _pair_text(a, b, fmt: str, name: str) -> Iterable[str]:
         rows = min(len(a), len(b))  # a row per index that has both terms
         return chain(["n,a,b\n"], _int_rows([range(1, rows + 1), a[:rows], b[:rows]], ","))
     if fmt == "json":
-        return [json.dumps({"name": name, "a": _json_ints(a), "b": _json_ints(b)}) + "\n"]
+        return _json_text(name, a=a, b=b)
     raise ValueError("a/b emission needs --format csv or json")
 
 

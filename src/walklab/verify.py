@@ -110,7 +110,7 @@ def check_table1(bounds: Bounds) -> CheckResult:
 def check_kimberling_signs(bounds: Bounds) -> CheckResult:
     n = bounds.walk
     seqs = ab_terms(_spec("2sqrt2"), n)
-    a, b = seqs.a, seqs.b
+    a, b = seqs.a, seqs.b  # int32 terms below 2^30: b - a cannot wrap
     idx = np.arange(1, n + 1, dtype=np.int64)
     ok = bool((b - a > 0).all() and (a - 2 * idx < 0).all() and (b - 2 * idx >= 0).all())
     return _result("walk.kimberling_signs", ok, f"b-a>0, a(n)<2n, b(n)>=2n for n<={n}")
@@ -119,7 +119,7 @@ def check_kimberling_signs(bounds: Bounds) -> CheckResult:
 def check_diff_hits(bounds: Bounds) -> CheckResult:
     count = bounds.diff_bound
     seqs = ab_terms(_spec("2sqrt2"), count)
-    d = seqs.b - seqs.a
+    d = seqs.b - seqs.a  # int32, like the terms, which lie below 2^30
     lacking = []
     for k in range(1, bounds.diff_kmax + 1):
         hits = int((d == k).sum())

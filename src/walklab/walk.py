@@ -82,7 +82,8 @@ class WalkTrace:
 
 @dataclass(frozen=True)
 class AbSequences:
-    """Indices of forward (a) and backward (b) steps; they partition 1..n."""
+    """Indices of forward (a) and backward (b) steps; they partition 1..n.
+    Both are int32: every step index is below the length bound 2^30."""
 
     a: np.ndarray
     b: np.ndarray
@@ -154,8 +155,8 @@ def _sum_blocks(
     gets each block in place, and the sums are views of it; a shorter one
     holds one block and is reused, each block overwriting the last. The
     caller picks a dtype for `out` wide enough for every sum: int32 holds a
-    walk's |S_n| <= n < 2^30, while a discrepancy's k*D_m can pass 2^31 for
-    large k and needs int64.
+    walk's |S_n| <= n < 2^30 and a discrepancy's |k*D_m| < k*n while
+    k*n < 2^31; past that, k*D_m needs int64.
     """
     whole = len(out) >= n
     values = np.empty(min(n, _CHUNK), dtype=out.dtype)
@@ -374,7 +375,7 @@ def ab_sequences(x: WalkTrace | WalkSpec, n: int) -> AbSequences:
     else:
         forward = sum(int(np.count_nonzero(steps > 0)) for _, steps in blocks)
         blocks = _walk_blocks(x, n, sums=False)
-    a, b = np.empty(forward, dtype=np.int64), np.empty(n - forward, dtype=np.int64)
+    a, b = np.empty(forward, dtype=np.int32), np.empty(n - forward, dtype=np.int32)
     na = nb = 0
     for start, steps in blocks:
         forth = steps > 0
@@ -400,7 +401,7 @@ def ab_terms(spec: WalkSpec, count: int, b_count: int | None = None) -> AbSequen
         raise ValueError("term count must be >= 0")
     if count + b_count >= _MAX_STEPS:
         raise ValueError("walk length beyond engine range")
-    a, b = np.empty(count, dtype=np.int64), np.empty(b_count, dtype=np.int64)
+    a, b = np.empty(count, dtype=np.int32), np.empty(b_count, dtype=np.int32)
     na = nb = 0
     if count or b_count:
         for start, flags in _walk_blocks(spec, _MAX_STEPS - 1, sums=False):
@@ -421,6 +422,7 @@ def diff_hits(spec: WalkSpec, k: int, bound: int) -> list[int]:
     if k < 1:
         raise ValueError("k must be >= 1")
     seqs = ab_terms(spec, bound)
+    # int32 terms lie in [1, 2^30), so their difference cannot wrap
     return (np.nonzero(seqs.b - seqs.a == k)[0] + 1).tolist()
 
 
@@ -431,8 +433,8 @@ def discrepancy(xi: QuadraticSurd, endpoint: Fraction, n: int) -> np.ndarray:
     """k*D_m for m = 1..n, where D_m counts visits of {j*xi} to [0, h/k).
 
     D_m = #{j <= m : {j xi} < h/k} - (h/k) m; the returned values are the
-    exact integers k*D_m, as int64. Raises ValueError when k*n >= 2^63,
-    past which int64 may not hold them.
+    exact integers k*D_m, as int32 when k*n < 2^31 and as int64 otherwise.
+    Raises ValueError when k*n >= 2^63, past which int64 may not hold them.
     """
     _check_length(n)
     endpoint = Fraction(endpoint)
@@ -442,12 +444,12 @@ def discrepancy(xi: QuadraticSurd, endpoint: Fraction, n: int) -> np.ndarray:
     if xi.sign() <= 0 or xi >= 1:
         raise ValueError("rotation must lie in (0,1)")
     # each step k*flag - h lies in (-k, k), so |k*D_m| < k*m: int64 holds
-    # every sum while k*n < 2^63
+    # every sum while k*n < 2^63, and int32 while k*n < 2^31
     if k * n >= 1 << 63:
         raise ValueError(
             f"k*D_m may overflow int64: endpoint denominator {k} times n = {n} reaches 2^63"
         )
-    out = np.empty(n, dtype=np.int64)
+    out = np.empty(n, dtype=np.int32 if k * n < 1 << 31 else np.int64)
     for _ in _sum_blocks(xi, h, k, n, out):  # k*D_m sums the steps k*flag - h
         pass
     return out
@@ -503,7 +505,7 @@ def lemma_checks(spec: WalkSpec, depth: int) -> LemmaReport:
         checked += half + 1
         for name, seq in (("a", a), ("b", b)):
             lhs = seq[half : q]
-            rhs = q + seq[:half]
+            rhs = q + seq[:half]  # int32: q and the terms are below 2^30
             if not np.array_equal(lhs, rhs):
                 jj = int(np.nonzero(lhs != rhs)[0][0]) + 1
                 raise CheckFailed(

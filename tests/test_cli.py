@@ -321,6 +321,41 @@ def test_pair_text_csv_matches_fstrings(n):
     assert_same_text("".join(_pair_text(a, b, "csv", "ab")), expected)
 
 
+@pytest.mark.parametrize("n", [0, 1, _CHUNK + 1], ids=["empty", "one", "across-a-block"])
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64])
+def test_json_array_text_matches_json_dumps(dtype, n):
+    # an array's items stream block by block; json.dumps of the same Python
+    # ints is the reference, from [] to the edges of each dtype
+    rng = np.random.default_rng(n)
+    info = np.iinfo(dtype)
+    values = rng.integers(info.min, info.max, n, dtype=dtype, endpoint=True)
+    values[: min(n, 2)] = [info.min, info.max][: min(n, 2)]
+    want = json.dumps({"name": "v", "values": values.tolist()}) + "\n"
+    assert_same_text("".join(_series_text(values, "json", "v")), want)
+
+
+def test_pair_json_matches_json_dumps():
+    rng = np.random.default_rng(7)
+    a = rng.integers(1, 2**30, _CHUNK + 1, dtype=np.int32)
+    b = rng.integers(1, 2**30, 2 * _CHUNK + 3, dtype=np.int32)  # b longer: all of it prints
+    want = json.dumps({"name": "ab", "a": a.tolist(), "b": b.tolist()}) + "\n"
+    assert_same_text("".join(_pair_text(a, b, "json", "ab")), want)
+    assert "".join(_pair_text(a[:0], b[:0], "json", "ab")) == '{"name": "ab", "a": [], "b": []}\n'
+
+
+def test_json_emission_holds_no_whole_text():
+    # 2^22 full-width int32 terms are ~50 MB of json text, and a list of
+    # their Python ints more; the stream holds a few blocks of each
+    values = np.random.default_rng(0).integers(-(2**31), 2**31, 2**22).astype(np.int32)
+    tracemalloc.start()
+    try:
+        size = sum(map(len, _series_text(values, "json", "v")))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 45 * 2**20 and peak < 8 * 2**20, peak
+
+
 def cli_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

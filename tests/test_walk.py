@@ -217,15 +217,54 @@ def test_indicators_match_exact_floors(xi, endpoint, n, scale, rnd):
 def test_running_sums_widths_across_a_block():
     n = _CHUNK + 5
     t = brute_walk(SQRT3, n)
-    assert t.sums.dtype == np.int32
+    assert (t.sums.dtype, t.signs.dtype) == (np.int32, np.int8)
     assert np.array_equal(t.sums, np.cumsum(t.signs, dtype=np.int64))
+    xi = parse_surd("sqrt2m1")
+    d = discrepancy(xi, Fraction(1, 3), n)  # k*n < 2^31: int32 sums
+    assert d.dtype == np.int32
+    assert np.array_equal(d, np.cumsum(3 * kernel_flags(xi, 1, 3, n).astype(np.int64) - 1))
     # k*D_m passes 2^31 once k does, so discrepancy keeps int64 sums
-    xi, k = parse_surd("sqrt2m1"), 3 * 2**32 + 1
+    k = 3 * 2**32 + 1
     h = k // 2
     d = discrepancy(xi, Fraction(h, k), n)
     flags = kernel_flags(xi, h, k, n)
     assert d.dtype == np.int64 and np.abs(d).max() > 2**31
     assert np.array_equal(d, np.cumsum(k * flags.astype(np.int64) - h, dtype=np.int64))
+
+
+def test_discrepancy_int32_just_below_the_switch_is_exact():
+    xi, n = parse_surd("sqrt2m1"), 1000
+    h, k = 2**20 + 1, 2**21 + 3
+    assert k * n < 2**31 <= k * (n + 24)
+    counts = np.cumsum(exact_flags(xi, h, k, n), dtype=np.int64).tolist()
+    d = discrepancy(xi, Fraction(h, k), n)
+    assert d.dtype == np.int32
+    assert d.tolist() == [k * c - h * m for m, c in enumerate(counts, start=1)]
+
+
+def test_discrepancy_width_switches_at_k_n_2_31(monkeypatch):
+    # |k*D_m| < k*n: int32 while k*n < 2^31, int64 from there on; the
+    # output is the first array made, so recording it allocates nothing big
+    made = []
+
+    def record_dtype(shape, dtype=None, **kwargs):
+        made.append(np.dtype(dtype))
+        raise LookupError("recorded")
+
+    monkeypatch.setattr(np, "empty", record_dtype)
+    xi = parse_surd("sqrt2m1")
+    for endpoint, n in (
+        (Fraction(1, 2**21), 2**10 - 1),
+        (Fraction(1, 2**21), 2**10),
+        (Fraction(2**30, 2**31 - 1), 1),
+        (Fraction(1, 2**31), 1),
+        (Fraction(1, 2), walk._MAX_STEPS - 1),  # the longest walk, as S_n = 2*D_n
+        (Fraction(1, 3), walk._MAX_STEPS - 1),
+    ):
+        with pytest.raises(LookupError):
+            discrepancy(xi, endpoint, n)
+    want = (np.int32, np.int64, np.int32, np.int64, np.int32, np.int64)
+    assert made == [np.dtype(t) for t in want]
 
 
 def past_the_guard(*args, **kwargs):
@@ -373,15 +412,17 @@ def test_streamed_reducers_match_traces(spec, n):
     rec, zs, seqs = records(spec, n), zeros(spec, n), ab_sequences(spec, n)
     assert rec == records_reference(t.sums)
     assert zs == [0] + (np.flatnonzero(t.sums == 0) + 1).tolist()
-    assert seqs.a.dtype == seqs.b.dtype == np.int64
+    assert seqs.a.dtype == seqs.b.dtype == np.int32
     assert np.array_equal(seqs.a, np.flatnonzero(t.signs > 0) + 1)
     assert np.array_equal(seqs.b, np.flatnonzero(t.signs < 0) + 1)
     for trace in traces:
         assert records(trace, n) == rec and zeros(trace, n) == zs
         from_trace = ab_sequences(trace, n)
+        assert from_trace.a.dtype == from_trace.b.dtype == np.int32
         assert np.array_equal(seqs.a, from_trace.a) and np.array_equal(seqs.b, from_trace.b)
     count = n // 2
     got = ab_terms(spec, count)
+    assert got.a.dtype == got.b.dtype == np.int32
     assert (got.a.tolist(), got.b.tolist()) == ab_terms_reference(spec, count)
     only_a, only_b = ab_terms(spec, count, 0), ab_terms(spec, 0, count)
     assert np.array_equal(only_a.a, got.a) and np.array_equal(only_b.b, got.b)
@@ -393,12 +434,13 @@ def test_streamed_reducers_match_traces(spec, n):
     [
         (lambda: records(SQRT2, 2**22), 4 * 2**20),
         (lambda: zeros(TWO_SQRT2, 2**22), 4 * 2**20),
-        # its two outputs are 2^20 int64 terms each, 16 MiB together
-        (lambda: ab_terms(SQRT2, 2**20), 1.25 * 16 * 2**20),
-        # a alone: one 8 MiB output, and no b beside it
-        (lambda: ab_terms(SQRT2, 2**20, 0), 1.25 * 8 * 2**20),
-        # its int64 output is 32 MiB, with no room for 4 MiB of flags beside it
-        (lambda: discrepancy(parse_surd("sqrt2m1"), Fraction(1, 3), 2**22), 8 * 2**22 + 3 * 2**20),
+        # its two outputs are 2^20 int32 terms each, 8 MiB together, plus
+        # the block temporaries
+        (lambda: ab_terms(SQRT2, 2**20), (8 + 2) * 2**20),
+        # a alone: one 4 MiB output, and no b beside it
+        (lambda: ab_terms(SQRT2, 2**20, 0), (4 + 2) * 2**20),
+        # its int32 output is 16 MiB, with no room for 4 MiB of flags beside it
+        (lambda: discrepancy(parse_surd("sqrt2m1"), Fraction(1, 3), 2**22), 4 * 2**22 + 3 * 2**20),
     ],
     ids=["records", "zeros", "ab_terms", "ab_terms_a", "discrepancy"],
 )
