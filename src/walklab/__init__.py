@@ -57,6 +57,7 @@ _WALK_NAMES = (
     "WalkSpec",
     "WalkTrace",
     "ab_sequences",
+    "ab_terms",
     "brute_walk",
     "diff_hits",
     "discrepancy",

@@ -17,7 +17,9 @@ numpy, the walk engine and `verify` load only in the commands that use them,
 so encode, decode, dfa, recur and subst start without numpy. The commands
 that load it first ask OpenBLAS for no worker threads (`_one_blas_thread`),
 which takes `import numpy` from ~205 to ~130 ms. The walk names the commands
-call are module globals, bound on first use by `_load_walk`.
+call are module globals, bound on first use by `_load_walk`. The CLI writes
+no walk array itself: `walk --emit sums` prints `discrepancy` at h/k = 1/2
+(S_n = 2*D_n) and `--emit signs` prints `walk._steps`.
 """
 
 from __future__ import annotations
@@ -34,9 +36,8 @@ from . import automata, recurrences, substitution
 from .numeration import alphabet_size, decode, encode, format_digits, parse_digits
 from .qarith import cf_expand, parse_surd
 
-# brute_walk is not called here: walk --emit sums|signs builds only the
-# printed array. It stays bound, because the benchmark's traced `cli` run
-# looks up and patches every one of these names.
+# brute_walk is not called here, but the benchmark's traced `cli` run looks
+# up and patches every one of these names.
 _WALK_NAMES = (
     "walk_spec",
     "brute_walk",
@@ -188,12 +189,11 @@ def _series_text(values, fmt: str, name: str) -> Iterable[str]:
 
 
 def _pair_text(a, b, fmt: str, name: str) -> Iterable[str]:
-    if fmt == "csv":
-        rows = min(len(a), len(b))  # a row per index that has both terms
-        return chain(["n,a,b\n"], _int_rows([range(1, rows + 1), a[:rows], b[:rows]], ","))
+    """a and b as json, else as csv: `_run_walk` admits no other format."""
     if fmt == "json":
         return _json_text(name, a=a, b=b)
-    raise ValueError("a/b emission needs --format csv or json")
+    rows = min(len(a), len(b))  # a row per index that has both terms
+    return chain(["n,a,b\n"], _int_rows([range(1, rows + 1), a[:rows], b[:rows]], ","))
 
 
 def _surd_arg(text: str):
@@ -210,8 +210,8 @@ def _fraction_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _add_format(parser, default="bfile", choices=("bfile", "csv", "json", "plain")):
-    parser.add_argument("--format", default=default, choices=choices)
+def _add_format(parser):
+    parser.add_argument("--format", default="bfile", choices=("bfile", "csv", "json", "plain"))
     parser.add_argument("-o", "--output", default=None, help="write to a file instead of stdout")
 
 
@@ -298,6 +298,8 @@ def _run_walk(args) -> Iterable[str]:
     spec = walk_spec(args.theta)
     emit = args.emit
     if emit == "ab":
+        if args.format not in ("csv", "json"):
+            raise ValueError("a/b emission needs --format csv or json")
         seqs = ab_sequences(spec, args.n)
         return _pair_text(seqs.a, seqs.b, args.format, "ab")
     if emit == "diff":
@@ -307,26 +309,11 @@ def _run_walk(args) -> Iterable[str]:
         return _series_text(records(spec, args.n), args.format, "records")
     if emit == "zeros":
         return _series_text(zeros(spec, args.n), args.format, "zeros")
-    return _series_text(_walk_array(spec, args.n, emit == "sums"), args.format, emit)
+    if emit == "sums":  # S_n = 2*D_n over [0, 1/2) of the rotation
+        return _series_text(discrepancy(spec.rotation, Fraction(1, 2), args.n), args.format, emit)
+    from .walk import _steps
 
-
-def _walk_array(spec, n: int, sums: bool):
-    """The walk's int32 sums S_1..S_n, or its int8 +-1 steps, filled block
-    by block from the kernel: only the array that is printed is held."""
-    import numpy as np
-
-    from .walk import _walk_blocks
-
-    blocks = _walk_blocks(spec, n, sums)  # checks n before anything is allocated
-    out = np.empty(n, dtype=np.int32 if sums else np.int8)
-    for start, block in blocks:
-        part = out[start : start + len(block)]
-        if sums:
-            part[:] = block
-        else:  # the kernel's flags {0, 1} become steps {-1, +1}
-            np.add(block, block, out=part)
-            part -= 1
-    return out
+    return _series_text(_steps(spec, args.n), args.format, emit)
 
 
 def _run_dfa(args) -> str:

@@ -190,13 +190,12 @@ def check_rules_engine(bounds: Bounds) -> CheckResult:
         rotation = parse_surd(name)
         spec = walk_spec(rotation * 2)
         engine = RuleEngine(spec)
-        trace = brute_walk(spec, sweep)
+        trace = brute_walk(spec, bounds.random_n)  # one walk: sweep <= 10^5 < random_n
         bad = np.flatnonzero(engine.values(np.arange(1, sweep + 1)) != trace.sums[:sweep])
         if bad.size:
             problems.append(f"{name}: mismatch at n={bad[0] + 1}")
-        big = brute_walk(spec, bounds.random_n)
         picks = np.array([rng.randint(1, bounds.random_n) for _ in range(bounds.random_count)])
-        bad = np.flatnonzero(engine.values(picks) != big.sums[picks - 1])
+        bad = np.flatnonzero(engine.values(picks) != trace.sums[picks - 1])
         if bad.size:
             problems.append(f"{name}: mismatch at random n={picks[bad[0]]}")
     # consistency and latency at an index far beyond any brute sweep

@@ -19,12 +19,12 @@ streaming whole-length arrays through memory. One stream serves them all:
 `_sum_blocks` runs the kernel block by block and carries the running sum of
 the steps k*flag - h. Step j of the walk is +1 exactly when
 {j*theta/2} < 1/2, so with h/k = 1/2 that sum is S_n = 2*D_n, and with any
-other endpoint it is the discrepancy's k*D_n. `brute_walk` and
-`discrepancy` have each block's sums written in place into their
-whole-length output. `records` and `zeros` given a spec reuse one block of
-sums, and `ab_sequences` and `ab_terms` read the kernel's flags alone: none
-of them builds a trace, and beyond their outputs they use O(block) memory.
-Given a trace, the reducers read it block by block.
+other endpoint it is the discrepancy's k*D_n. Each array has one writer:
+the sums go in place into the output of `brute_walk` or `discrepancy`,
+`_steps` makes the flags +-1 steps, and `_fill_ab` fills a and b. `records`
+and `zeros` given a spec reuse one block of sums, and the a/b paths read the
+kernel's flags alone: none of them builds a trace, and beyond their outputs
+they use O(block) memory. Given a trace, the reducers read it block by block.
 """
 
 from __future__ import annotations
@@ -194,11 +194,20 @@ def brute_walk(spec: WalkSpec, n: int, exact: bool = False) -> WalkTrace:
     if exact:
         signs = _signs_exact(spec.theta, n)
         return WalkTrace(n=n, sums=np.cumsum(signs, dtype=np.int32), signs=signs)
-    sums, signs = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int8)
-    for start, flags, _ in _sum_blocks(spec.rotation, 1, 2, n, sums):
+    sums = np.empty(n, dtype=np.int32)
+    return WalkTrace(n=n, sums=sums, signs=_steps(spec, n, sums))
+
+
+def _steps(spec: WalkSpec, n: int, sums: np.ndarray | None = None) -> np.ndarray:
+    """The walk's int8 steps 1..n, the kernel's flags {0, 1} made {-1, +1};
+    given a whole-length int32 `sums`, the same pass writes S_1..S_n into it."""
+    _check_length(n)
+    xi, signs = spec.rotation, np.empty(n, dtype=np.int8)
+    blocks = _indicator_blocks(xi, 1, 2, n) if sums is None else _sum_blocks(xi, 1, 2, n, sums)
+    for start, flags, *_ in blocks:
         block = np.add(flags, flags, out=signs[start : start + len(flags)])
-        block -= 1  # flags {0, 1} become steps {-1, +1}
-    return WalkTrace(n=n, sums=sums, signs=signs)
+        block -= 1
+    return signs
 
 
 def _check_length(n: int) -> None:
@@ -376,12 +385,24 @@ def ab_sequences(x: WalkTrace | WalkSpec, n: int) -> AbSequences:
         forward = sum(int(np.count_nonzero(steps > 0)) for _, steps in blocks)
         blocks = _walk_blocks(x, n, sums=False)
     a, b = np.empty(forward, dtype=np.int32), np.empty(n - forward, dtype=np.int32)
+    for _ in _fill_ab(a, b, blocks):
+        pass
+    return AbSequences(a=a, b=b)
+
+
+def _fill_ab(a: np.ndarray, b: np.ndarray, blocks):
+    """Write each block's forward step indices into a and its backward ones
+    into b while each has room; yield the two fills, first before any block
+    is read and then after every block."""
     na = nb = 0
+    yield na, nb
     for start, steps in blocks:
         forth = steps > 0
-        na = _take_steps(a, na, start, forth)
-        nb = _take_steps(b, nb, start, np.logical_not(forth, out=forth))
-    return AbSequences(a=a, b=b)
+        if na < len(a):
+            na = _take_steps(a, na, start, forth)
+        if nb < len(b):
+            nb = _take_steps(b, nb, start, np.logical_not(forth, out=forth))
+        yield na, nb
 
 
 def ab_terms(spec: WalkSpec, count: int, b_count: int | None = None) -> AbSequences:
@@ -402,19 +423,10 @@ def ab_terms(spec: WalkSpec, count: int, b_count: int | None = None) -> AbSequen
     if count + b_count >= _MAX_STEPS:
         raise ValueError("walk length beyond engine range")
     a, b = np.empty(count, dtype=np.int32), np.empty(b_count, dtype=np.int32)
-    na = nb = 0
-    if count or b_count:
-        for start, flags in _walk_blocks(spec, _MAX_STEPS - 1, sums=False):
-            forth = flags > 0
-            if na < count:
-                na = _take_steps(a, na, start, forth)
-            if nb < b_count:
-                nb = _take_steps(b, nb, start, np.logical_not(forth, out=forth))
-            if na == count and nb == b_count:
-                break
-        else:
-            raise ValueError("walk length beyond engine range")
-    return AbSequences(a=a, b=b)
+    for filled in _fill_ab(a, b, _walk_blocks(spec, _MAX_STEPS - 1, sums=False)):
+        if filled == (count, b_count):
+            return AbSequences(a=a, b=b)
+    raise ValueError("walk length beyond engine range")
 
 
 def diff_hits(spec: WalkSpec, k: int, bound: int) -> list[int]:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab import verify
-from walklab.cli import _int_rows, _pair_text, _series_text, _walk_array, main
+from test_walk import STREAM_NS
+from walklab import verify, walk
+from walklab.cli import _int_rows, _pair_text, _series_text, main
 from walklab.numeration import encode, format_digits
 from walklab.qarith import cf_expand, parse_surd
 from walklab.recurrences import half_pell
-from walklab.walk import _CHUNK, brute_walk, walk_spec
+from walklab.walk import _CHUNK, _steps, brute_walk, discrepancy, walk_spec
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +102,11 @@ def test_walk_emits(capsys):
     assert data["a"][:4] == [1, 3, 5, 6] and data["b"][:3] == [2, 4, 7]
 
 
+def walk_array(spec, n: int, sums: bool):
+    """The array walk --emit sums|signs prints."""
+    return discrepancy(spec.rotation, Fraction(1, 2), n) if sums else _steps(spec, n)
+
+
 @pytest.mark.parametrize("sums", [True, False], ids=["sums", "signs"])
 def test_walk_array_is_the_trace_array_alone(sums):
     # walk --emit sums|signs prints the trace's array, built without the
@@ -107,15 +114,36 @@ def test_walk_array_is_the_trace_array_alone(sums):
     spec = walk_spec(parse_surd("sqrt3"))
     trace = brute_walk(spec, 3 * _CHUNK + 5)
     want = trace.sums if sums else trace.signs
-    got = _walk_array(spec, trace.n, sums)
+    got = walk_array(spec, trace.n, sums)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     tracemalloc.start()
     try:
-        printed = _walk_array(spec, 2**22, sums).nbytes
+        printed = walk_array(spec, 2**22, sums).nbytes
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert printed == (4 if sums else 1) * 2**22 and peak < printed + 3 * 2**20, peak
+
+
+@pytest.mark.parametrize("fmt", ["bfile", "csv", "plain"])
+def test_walk_sums_print_as_the_discrepancy_at_one_half(capsys, fmt):
+    # S_n = 2*D_n over [0, 1/2) of the rotation {2sqrt2 / 2} = sqrt2 - 1
+    for n in STREAM_NS:
+        argv = ["--n", str(n), "--format", fmt]
+        sums = run_cli(capsys, "walk", "--theta", "2sqrt2", "--emit", "sums", *argv)
+        profile = run_cli(capsys, "discrepancy", "--xi", "sqrt2m1", *argv)
+        assert sums == profile and sums[0] == 0, n
+
+
+def test_ab_format_is_rejected_before_walking(capsys, monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(walk, "_indicator_blocks", no_kernel)
+    with pytest.raises(SystemExit) as err:
+        main(["walk", "--theta", "2sqrt2", "--emit", "ab", "--n", "100000000"])
+    assert err.value.code == 2
+    assert "a/b emission needs --format csv or json" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -141,8 +141,8 @@ def test_library_import_leaves_blas_threads_alone():
 
 
 WALK_EXPORTS = (
-    "AbSequences", "RuleEngine", "WalkSpec", "WalkTrace", "ab_sequences", "brute_walk",
-    "diff_hits", "discrepancy", "lemma_checks", "records", "walk_spec", "zeros",
+    "AbSequences", "RuleEngine", "WalkSpec", "WalkTrace", "ab_sequences", "ab_terms",
+    "brute_walk", "diff_hits", "discrepancy", "lemma_checks", "records", "walk_spec", "zeros",
 )
 
 
