@@ -236,6 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--emit",
         choices=("sums", "signs", "records", "zeros", "ab", "diff"),
         default="sums",
+        help="ab needs --format csv, rows n = 1..min(len a, len b), "
+        "or json, both sequences in full",
     )
     _add_format(p)
 

@@ -185,6 +185,7 @@ def _even_denominators(bound: int) -> list[int]:
 def check_rules_engine(bounds: Bounds) -> CheckResult:
     rng = random.Random(20201)
     sweep = min(bounds.walk, 10**5)
+    deep = 10**300
     problems = []
     for name in BR_FIXTURES:
         rotation = parse_surd(name)
@@ -198,6 +199,15 @@ def check_rules_engine(bounds: Bounds) -> CheckResult:
         bad = np.flatnonzero(engine.values(picks) != trace.sums[picks - 1])
         if bad.size:
             problems.append(f"{name}: mismatch at random n={picks[bad[0]]}")
+        # the reflection S_{q/2+k} = S_{q/2} - S_k at the first even q with
+        # q/2 >= 10^300, where every fold but a few is a proven Rule C
+        dens = spec.cf.denominators_past(deep * 10**10)
+        q = next(q for q in dens if q % 2 == 0 and q // 2 >= deep)
+        half = engine.value(q // 2)
+        ks = (1, 2, 3, 1000, 2000)
+        bad = [k for k in ks if engine.value(q // 2 + k) != half - int(trace.sums[k - 1])]
+        if bad:
+            problems.append(f"{name}: reflection fails at q/2+{bad[0]} near 1e300")
     # consistency and latency at an index far beyond any brute sweep
     spec = _spec("2sqrt2")
     target = 10**12

@@ -235,21 +235,33 @@ class RuleEngine:
     Rule A pins S at a denominator q to its parity; Rules B and C fold any
     other index into a strictly smaller one and add the parity of the
     denominator below it, so a value is one loop of folds that ends at a
-    denominator or at 0. Denominators come from the spec's shared CF cache.
+    denominator or at 0. Denominators and quotients come from the spec's
+    shared CF cache.
+
+    At level i (q_i <= n < q_{i+1}) Rule C applies when 2n < q_{i+1}, and a
+    fold often proves that test for the next one. `value` carries a small
+    int x with 2n < x*q_i + q_{i-1} <= q_{i+1}: Rule B leaves
+    2n' <= q_{i+1} - 2, so x = a_{i+1}, and Rule C subtracts 2q_i from 2n,
+    so x drops by 2. While n stays >= q_i, Rule C thus holds untested. At
+    x = 0 the bound is 2n < q_{i-1} = a_{i-1}*q_{i-2} + q_{i-3}: level
+    i - 2 with x = a_{i-1}. Any other change of level tests again.
     """
 
     def __init__(self, spec: WalkSpec):
         if not spec.br:
             raise NotBrNumber(f"rotation {spec.rotation} is not a BR number")
         self.spec = spec
+        # the CF's own list, grown in lockstep with the denominators
+        self._quotients = spec.cf.quotients_through(0)
 
     def value(self, n: int) -> int:
         """S_n for one index n >= 0; the reference for `values`."""
         if n < 0:
             raise ValueError("index must be >= 0")
         dens = self.spec.cf.denominators_past(n)
+        quotients = self._quotients
         i = bisect_right(dens, n) - 1
-        acc = 0
+        acc = x = 0  # x = 0: no bound on n carried from the last fold
         # q_i <= n < q_{i+1} at each fold, and the folded index stays below
         # q_{i+1}: Rule C gives n - q_i < q_{i+1}, Rule B q_{i+1} - 1 - n.
         # So the level is found once and afterwards only steps down.
@@ -258,11 +270,23 @@ class RuleEngine:
             while qp > n:
                 i -= 1
                 qp = dens[i]
+                x = 0
             if qp == n:
                 return acc + (n & 1)  # Rule A
             acc += qp & 1
-            t = dens[i + 1] - n
-            n = n - qp if n < t else t - 1  # Rule C (2n < q_{i+1}), else Rule B
+            if x:  # 2n < x*q_i + q_{i-1} <= q_{i+1}: Rule C, proven
+                x -= 2
+            else:
+                t = dens[i + 1] - n
+                if n >= t:  # Rule B (2n >= q_{i+1})
+                    n = t - 1
+                    x = quotients[i + 1]
+                    continue
+                x = quotients[i + 1] - 2
+            n -= qp  # Rule C
+            if not x:  # 2n < q_{i-1}, so i >= 2 unless n is now 0
+                i -= 2
+                x = quotients[i + 1]
         return acc
 
     def values(self, indices) -> np.ndarray:

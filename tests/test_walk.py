@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from walklab.qarith import QuadraticSurd, floor_scaled, parse_surd
@@ -638,11 +638,11 @@ def test_fast_s_rejects_non_br():
 
 
 def test_fast_s_deep_query():
-    # parity at denominators plus a far-out value, no brute comparison
+    # parity at denominators plus a far-out value, past any brute walk
     engine = RuleEngine(TWO_SQRT2)
     qs = TWO_SQRT2.cf.denominators_up_to(10**12)
     assert all(engine.value(q) == q % 2 for q in qs)
-    assert engine.value(10**12) >= 0
+    assert engine.value(10**12) == reference_rules_value(TWO_SQRT2, 10**12)
 
 
 BR_WALKS = [walk_spec(2 * parse_surd(name)) for name in ("sqrt2m1", "sqrt2m1over2", "xi4")]
@@ -655,16 +655,16 @@ def test_rules_engine_huge_index_reflection(exponent):
     # would overflow the interpreter stack
     rng = random.Random(exponent)
     for spec in BR_WALKS:
-        q = next(q for q in spec.cf.denominators_up_to(10 ** (exponent + 10))
-                 if q % 2 == 0 and q // 2 >= 10**exponent)
+        q = first_even_half_past(spec, 10**exponent)
         s = [0] + brute_walk(spec, 2000).sums.tolist()
         half = RuleEngine(spec).value(q // 2)
         for k in [1, 2000] + rng.sample(range(3, 2000), 3):
             assert RuleEngine(spec).value(q // 2 + k) == half - s[k], f"k={k}"
 
 
-def reference_rules_value(spec, n):
-    """The rules fold with a fresh bisection over the denominators at every fold."""
+def reference_rules_value(spec, n, rule_b=None):
+    """The rules fold with a fresh bisection over the denominators at every
+    fold; the indices it folds by Rule B are appended to `rule_b`, if given."""
     dens = spec.cf.denominators_past(n)
     acc = 0
     while n:
@@ -674,8 +674,58 @@ def reference_rules_value(spec, n):
             return acc + (n & 1)  # Rule A
         q = dens[i + 1]
         acc += qp & 1
-        n = n - qp if 2 * n < q else q - n - 1  # Rule C, else Rule B
+        if 2 * n < q:
+            n -= qp  # Rule C
+        else:
+            if rule_b is not None:
+                rule_b.append(n)
+            n = q - n - 1  # Rule B
     return acc
+
+
+def first_even_half_past(spec, bound):
+    """The first even denominator q with q/2 >= bound."""
+    dens = spec.cf.denominators_past(bound * 10**10)
+    return next(q for q in dens if q % 2 == 0 and q // 2 >= bound)
+
+
+def tie_indices(spec, levels_to, ks):
+    """Indices on the Rule B/C tie 2n ~ q_{i+1}: around q_{i+1}/2 for every
+    level up to `levels_to`, and q/2 +- k for the first even q with
+    q/2 >= 10^300, where nearly every fold is a proven Rule C."""
+    dens = spec.cf.denominators_up_to(levels_to)[1:]
+    half = first_even_half_past(spec, 10**300) // 2
+    return [n for q in dens for n in ((q - 1) // 2, q // 2, q // 2 + 1)] + [
+        half + k * sign for k in ks for sign in (1, -1)
+    ]
+
+
+def test_rules_half_denominator_tests_only_rule_b_folds():
+    # a q/2 + k index sits on the Rule B/C tie 2n ~ q_{i+1} at every level
+    # above k's; there the engine tests a fold only where the reference takes
+    # Rule B, and proves every Rule C from the fold before. The index logs
+    # itself at each q_{i+1} - n, the engine's test
+    tested = []
+
+    class Index(int):
+        def __rsub__(self, other):
+            tested.append(int(self))
+            return Index(int(other) - int(self))
+
+        def __sub__(self, other):
+            return Index(int(self) - int(other))
+
+    rng = random.Random(17)
+    for spec in BR_WALKS:
+        engine = RuleEngine(spec)
+        half = first_even_half_past(spec, 10**300) // 2
+        for k in [0, 1, -1, 2**16, -(2**16)] + rng.sample(range(-(2**16), 2**16), 5):
+            n, rule_b = half + k, []
+            tested.clear()
+            assert engine.value(Index(n)) == reference_rules_value(spec, n, rule_b)
+            # the first fold has no fold before it to prove it
+            above = [m for m in tested if m > 2**17 and m != n]
+            assert above == [m for m in rule_b if m > 2**17 and m != n], k
 
 
 def test_rules_value_matches_bisect_reference_deep():
@@ -685,6 +735,8 @@ def test_rules_value_matches_bisect_reference_deep():
         qs = spec.cf.denominators_up_to(10**1000)
         picks = [rng.randint(1, 10**rng.randint(1, 1000)) for _ in range(40)]
         picks += [q + d for q in qs[-3:] for d in (-1, 0, 1)]  # Rule A and both neighbours
+        ks = [0, 1, 2, 3, 2**15, 2**16 - 1, 2**16] + rng.sample(range(2**16), 6)
+        picks += tie_indices(spec, 10**300, ks)
         for n in picks:
             assert engine.value(n) == reference_rules_value(spec, n), n
 
@@ -710,6 +762,53 @@ def test_rules_random_br_rotations(k, l, seed):
     picks = [rng.randint(0, top) for _ in range(200)]
     assert engine.values(picks).tolist() == [engine.value(n) for n in picks]
     for n in picks[:50] + [rng.randint(1, 10**rng.randint(19, 300)) for _ in range(20)]:
+        assert engine.value(n) == reference_rules_value(spec, n), n
+
+
+def surd_from_cf(preperiod, period):
+    """xi = [0; preperiod, (period)*]. The periodic tail y = [period, y] solves
+    y = (p y + p') / (r y + r') for the period's last two convergents p/r and
+    p'/r', that is r y^2 + (r' - p) y - p' = 0."""
+    p, p1, r, r1 = 1, 0, 0, 1
+    for a in period:
+        p, p1, r, r1 = a * p + p1, p, a * r + r1, r
+    x = QuadraticSurd(p - r1, 1, (p - r1) ** 2 + 4 * r * p1, 2 * r)
+    for a in reversed(preperiod):
+        x = a + 1 / x
+    return 1 / x
+
+
+@st.composite
+def br_quotients(draw):
+    """(preperiod, period) of a BR rotation: a preperiod of 1-3 quotients
+    before a period of 2, or a period of 3-4 alone. Odd positions hold even
+    quotients; even positions of the period hold odd ones >= 3, except in a
+    period of odd length, which visits both parities and so is all even."""
+    pre_len = draw(st.integers(0, 3))
+    per_len = draw(st.integers(2, 2) if pre_len else st.integers(3, 4))
+    even, odd = st.integers(1, 8).map(lambda m: 2 * m), st.integers(1, 6).map(lambda m: 2 * m + 1)
+    pre = [draw(even if j % 2 else st.integers(1, 12)) for j in range(1, pre_len + 1)]
+    period = [
+        draw(even if j % 2 or per_len % 2 else odd)
+        for j in range(pre_len + 1, pre_len + per_len + 1)
+    ]
+    assume(not pre or pre[-1] != period[-1])  # else the preperiod folds into the period
+    return pre, period
+
+
+@settings(max_examples=60, deadline=None)
+@given(cf=br_quotients(), seed=st.integers(min_value=0, max_value=2**32))
+def test_rules_preperiodic_and_long_period_rotations(cf, seed):
+    pre, period = cf
+    xi = surd_from_cf(pre, period)
+    spec = walk_spec(2 * xi)
+    assert spec.rotation == xi and spec.br
+    quotients = [0] + pre + period * 3
+    assert [spec.cf.quotient(i) for i in range(len(quotients))] == quotients
+    engine = RuleEngine(spec)
+    assert [engine.value(n) for n in range(1, 5001)] == brute_walk(spec, 5000).sums.tolist()
+    ks = [0, 1, 2**16] + random.Random(seed).sample(range(2**16), 3)
+    for n in tie_indices(spec, 10**40, ks):
         assert engine.value(n) == reference_rules_value(spec, n), n
 
 
